@@ -3,6 +3,7 @@
 use crate::config::ConfigLayout;
 use crate::{NodeId, Pip, PipCategory, PipId, RouteNode, Site, SiteId, SiteKind, TileCoord};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Architectural parameters of a device family.
 ///
@@ -93,8 +94,17 @@ impl DeviceParams {
 /// builds the adjacency lists used by the router, plus the
 /// [`ConfigLayout`] that assigns one configuration bit to every programmable
 /// resource.
+///
+/// A built device is immutable and shared: `clone()` copies a reference,
+/// not the routing graph, so flows, sweeps and services can hold the same
+/// device without paying for its construction or its memory again.
 #[derive(Debug, Clone)]
 pub struct Device {
+    data: Arc<DeviceData>,
+}
+
+#[derive(Debug)]
+struct DeviceData {
     params: DeviceParams,
     sites: Vec<Site>,
     nodes: Vec<RouteNode>,
@@ -128,29 +138,30 @@ impl Device {
 
     /// The parameters this device was built from.
     pub fn params(&self) -> &DeviceParams {
-        &self.params
+        &self.data.params
     }
 
     /// Number of tile columns.
     pub fn cols(&self) -> u16 {
-        self.params.cols
+        self.data.params.cols
     }
 
     /// Number of tile rows.
     pub fn rows(&self) -> u16 {
-        self.params.rows
+        self.data.params.rows
     }
 
     /// Iterates over every tile coordinate of the grid.
     pub fn tiles(&self) -> impl Iterator<Item = TileCoord> + '_ {
-        let cols = self.params.cols;
-        let rows = self.params.rows;
+        let cols = self.data.params.cols;
+        let rows = self.data.params.rows;
         (0..rows).flat_map(move |y| (0..cols).map(move |x| TileCoord::new(x, y)))
     }
 
     /// All sites of the device.
     pub fn sites(&self) -> impl Iterator<Item = (SiteId, &Site)> {
-        self.sites
+        self.data
+            .sites
             .iter()
             .enumerate()
             .map(|(i, s)| (SiteId::from_index(i), s))
@@ -162,46 +173,46 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn site(&self, id: SiteId) -> &Site {
-        &self.sites[id.index()]
+        &self.data.sites[id.index()]
     }
 
     /// All LUT sites.
     pub fn lut_sites(&self) -> &[SiteId] {
-        &self.lut_sites
+        &self.data.lut_sites
     }
 
     /// All flip-flop sites.
     pub fn ff_sites(&self) -> &[SiteId] {
-        &self.ff_sites
+        &self.data.ff_sites
     }
 
     /// All I/O block sites (on the perimeter).
     pub fn iob_sites(&self) -> &[SiteId] {
-        &self.iob_sites
+        &self.data.iob_sites
     }
 
     /// Sites of a given kind.
     pub fn sites_of_kind(&self, kind: SiteKind) -> &[SiteId] {
         match kind {
-            SiteKind::Lut => &self.lut_sites,
-            SiteKind::Ff => &self.ff_sites,
-            SiteKind::Iob => &self.iob_sites,
+            SiteKind::Lut => &self.data.lut_sites,
+            SiteKind::Ff => &self.data.ff_sites,
+            SiteKind::Iob => &self.data.iob_sites,
         }
     }
 
     /// Number of sites.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.data.sites.len()
     }
 
     /// Number of routing-graph nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.data.nodes.len()
     }
 
     /// Number of PIPs.
     pub fn pip_count(&self) -> usize {
-        self.pips.len()
+        self.data.pips.len()
     }
 
     /// The routing node with the given id.
@@ -210,12 +221,12 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn node(&self, id: NodeId) -> RouteNode {
-        self.nodes[id.index()]
+        self.data.nodes[id.index()]
     }
 
     /// Looks up the id of a routing node.
     pub fn node_id(&self, node: RouteNode) -> Option<NodeId> {
-        self.node_index.get(&node).copied()
+        self.data.node_index.get(&node).copied()
     }
 
     /// The PIP with the given id.
@@ -224,27 +235,27 @@ impl Device {
     ///
     /// Panics if the id is out of range.
     pub fn pip(&self, id: PipId) -> Pip {
-        self.pips[id.index()]
+        self.data.pips[id.index()]
     }
 
     /// All PIPs leaving `node`.
     pub fn pips_from(&self, node: NodeId) -> &[PipId] {
-        &self.pips_from[node.index()]
+        &self.data.pips_from[node.index()]
     }
 
     /// All PIPs arriving at `node`.
     pub fn pips_to(&self, node: NodeId) -> &[PipId] {
-        &self.pips_to[node.index()]
+        &self.data.pips_to[node.index()]
     }
 
     /// The output-pin node of a site.
     pub fn out_pin(&self, site: SiteId) -> NodeId {
-        self.out_pin_of_site[site.index()]
+        self.data.out_pin_of_site[site.index()]
     }
 
     /// The input-pin nodes of a site, indexed by pin.
     pub fn in_pins(&self, site: SiteId) -> &[NodeId] {
-        &self.in_pins_of_site[site.index()]
+        &self.data.in_pins_of_site[site.index()]
     }
 
     /// The tile a routing node geometrically belongs to (used by the router's
@@ -258,7 +269,7 @@ impl Device {
 
     /// The configuration-memory layout of this device.
     pub fn config_layout(&self) -> &ConfigLayout {
-        &self.layout
+        &self.data.layout
     }
 }
 
@@ -471,7 +482,7 @@ impl DeviceBuilder {
         // 5. Configuration layout.
         let layout = ConfigLayout::build(&self.params, &self.sites, &self.pips);
 
-        Device {
+        let data = DeviceData {
             params: self.params,
             sites: self.sites,
             nodes: self.nodes,
@@ -485,6 +496,9 @@ impl DeviceBuilder {
             ff_sites: self.ff_sites,
             iob_sites: self.iob_sites,
             layout,
+        };
+        Device {
+            data: Arc::new(data),
         }
     }
 }
@@ -599,6 +613,17 @@ mod tests {
         let tile = d.site(site).tile;
         assert_eq!(d.node_tile(d.out_pin(site)), tile);
         assert_eq!(d.node_tile(d.in_pins(site)[2]), tile);
+    }
+
+    #[test]
+    fn clones_share_one_immutable_device() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Device>();
+        let d = Device::small(3, 3);
+        let clone = d.clone();
+        assert!(std::ptr::eq(d.config_layout(), clone.config_layout()));
+        assert!(std::ptr::eq(d.lut_sites(), clone.lut_sites()));
+        assert_eq!(clone.params(), d.params());
     }
 
     #[test]

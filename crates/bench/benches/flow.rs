@@ -411,13 +411,15 @@ fn bench_sweep_throughput(c: &mut Criterion) {
         primed.cache.misses > 0,
         "the priming run must compute artifacts"
     );
-    group.bench_function("warm", |b| b.iter(|| warm_sweep.run().expect("sweep")));
-    let stats = warm_cache.stats();
-    assert!(
-        stats.hits > stats.misses,
-        "repeated sweeps must be served from the cache ({stats})"
-    );
-    eprintln!("sweep_throughput/warm artifact cache: {stats}");
+    group.bench_function("warm", |b| {
+        b.iter(|| warm_sweep.run().expect("sweep"));
+        let stats = warm_cache.stats();
+        assert!(
+            stats.hits > stats.misses,
+            "repeated sweeps must be served from the cache ({stats})"
+        );
+        eprintln!("sweep_throughput/warm artifact cache: {stats}");
+    });
     group.finish();
 }
 

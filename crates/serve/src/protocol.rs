@@ -10,7 +10,7 @@
 
 use tmr_core::json::Json;
 use tmr_core::TmrConfig;
-use tmr_fpga::arch::{Device, MbuPattern};
+use tmr_fpga::arch::{Device, DeviceParams, MbuPattern};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop, FaultModel};
 use tmr_fpga::synth::Design;
 
@@ -298,9 +298,17 @@ impl JobSpec {
         }
     }
 
-    /// The explicit device, when the spec pins one.
+    /// The parameters of the explicit device, when the spec pins one.
+    pub fn device_params(&self) -> Option<DeviceParams> {
+        self.device
+            .map(|(cols, rows)| DeviceParams::small(cols, rows))
+    }
+
+    /// The explicit device, when the spec pins one (built afresh; the
+    /// service takes its devices from a memo keyed by
+    /// [`device_params`](Self::device_params) instead).
     pub fn device_instance(&self) -> Option<Device> {
-        self.device.map(|(cols, rows)| Device::small(cols, rows))
+        self.device_params().map(Device::new)
     }
 
     /// Builds the campaign configuration of this spec (batch size included,

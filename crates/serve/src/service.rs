@@ -28,12 +28,12 @@
 use crate::protocol::{Event, JobSpec, JobStatus, ResultSource};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use tmr_core::pipeline::{ArtifactCache, CacheKey};
 use tmr_fpga::arch::{Device, DeviceParams};
 use tmr_fpga::faultsim::CampaignResult;
-use tmr_fpga::flow::{device_for, Flow, FlowBuilder};
+use tmr_fpga::flow::{device_params_for, Flow, FlowBuilder};
 use tmr_fpga::store::CampaignPrefix;
 use tmr_fpga::Store;
 
@@ -111,6 +111,10 @@ struct State {
 struct Inner {
     mem: Arc<ArtifactCache>,
     store: Option<Arc<Store>>,
+    /// Every device the service's jobs have asked for, built once and held
+    /// for the service's lifetime. One `OnceLock` per key lets concurrent
+    /// workers wait for a single build instead of racing to duplicate it.
+    devices: Mutex<HashMap<DeviceParams, Arc<OnceLock<Device>>>>,
     completed: Mutex<HashMap<u64, Arc<CampaignResult>>>,
     events: Mutex<Sender<Event>>,
     state: Mutex<State>,
@@ -139,6 +143,7 @@ impl CampaignService {
         let inner = Arc::new(Inner {
             mem: ArtifactCache::shared(),
             store: config.store,
+            devices: Mutex::new(HashMap::new()),
             completed: Mutex::new(HashMap::new()),
             events: Mutex::new(sender),
             state: Mutex::new(State::default()),
@@ -319,6 +324,19 @@ impl Drop for CampaignService {
 }
 
 impl Inner {
+    /// The device built from `params`, from the memo. The map lock is held
+    /// only to fetch the key's cell, so builds of different sizes overlap.
+    fn device(&self, params: DeviceParams) -> Device {
+        let cell = self
+            .devices
+            .lock()
+            .unwrap()
+            .entry(params)
+            .or_default()
+            .clone();
+        cell.get_or_init(|| Device::new(params)).clone()
+    }
+
     fn emit(&self, event: Event) {
         // A dropped receiver just means nobody is listening any more.
         let _ = self.events.lock().unwrap().send(event);
@@ -583,29 +601,32 @@ fn finish(
 
 /// Builds the job's flow: shared memory cache, shared store, single-shard
 /// batches (fairness comes from turn scheduling, not intra-batch threads).
-/// Auto-sizes the device from the synthesized netlist when the spec pins
-/// none — the synthesis stage is keyed by design identity only, so the
-/// probe work is shared with the real flow.
+/// Every device comes from the service's device memo: the spec's pinned
+/// size, or else an XC2S200E-like architecture auto-sized to the
+/// synthesized netlist. The probe flow that synthesizes for auto-sizing
+/// shares the synthesis stage with the real flow, which is keyed by design
+/// identity only.
 fn build_flow(inner: &Inner, spec: &JobSpec) -> Result<Flow, tmr_fpga::Error> {
     let design = spec
         .design_instance()
         .expect("spec validated at submission");
     let tmr = spec.tmr_config().expect("spec validated at submission");
-    let device = match spec.device_instance() {
-        Some(device) => device,
+    let params = match spec.device_params() {
+        Some(params) => params,
         None => {
             let params = DeviceParams::xc2s200e_like();
             let probe = configure(
-                FlowBuilder::new(&Device::new(params), &design),
+                FlowBuilder::new(&inner.device(params), &design),
                 inner,
                 spec,
                 tmr.clone(),
             )
             .build();
             let synthesized = probe.synthesized()?;
-            device_for(params, &[synthesized.netlist()], 0.50)
+            device_params_for(params, &[synthesized.netlist()], 0.50)
         }
     };
+    let device = inner.device(params);
     Ok(configure(FlowBuilder::new(&device, &design), inner, spec, tmr).build())
 }
 
@@ -623,4 +644,101 @@ fn configure(
         builder = builder.store(store.clone());
     }
     builder
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use tmr_fpga::flow::device_for;
+
+    fn spec(variant: &str, device: Option<(u16, u16)>) -> JobSpec {
+        let mut spec = JobSpec::new("counter:4");
+        spec.variant = variant.to_string();
+        spec.faults = 96;
+        spec.batch = 32;
+        spec.device = device;
+        spec
+    }
+
+    /// The job's flow built the way it was before the memo: a fresh probe
+    /// device and a fresh auto-sized (or pinned) device per call.
+    fn unmemoized_flow(inner: &Inner, spec: &JobSpec) -> Flow {
+        let design = spec.design_instance().unwrap();
+        let tmr = spec.tmr_config().unwrap();
+        let device = spec.device_instance().unwrap_or_else(|| {
+            let params = DeviceParams::xc2s200e_like();
+            let probe = configure(
+                FlowBuilder::new(&Device::new(params), &design),
+                inner,
+                spec,
+                tmr.clone(),
+            )
+            .build();
+            device_for(params, &[probe.synthesized().unwrap().netlist()], 0.50)
+        });
+        configure(FlowBuilder::new(&device, &design), inner, spec, tmr).build()
+    }
+
+    #[test]
+    fn jobs_share_one_device_per_size_and_match_unmemoized_results() {
+        let specs = [
+            spec("standard", None),
+            spec("p2", None),
+            spec("p3", None),
+            spec("p2", Some((8, 8))),
+        ];
+        let (service, _events) = CampaignService::new(ServiceConfig::default());
+        for spec in &specs {
+            service.submit(None, spec.clone()).unwrap();
+        }
+        service.wait_idle();
+        let inner = &service.inner;
+        let fresh = CampaignService::new(ServiceConfig::default()).0;
+        let references: Vec<Flow> = specs
+            .iter()
+            .map(|spec| unmemoized_flow(&fresh.inner, spec))
+            .collect();
+
+        // The memo holds the probe entry plus one entry per fitted or pinned
+        // size, and each entry was built once.
+        let mut expected = HashSet::from([DeviceParams::xc2s200e_like()]);
+        expected.extend(references.iter().map(|flow| *flow.device().params()));
+        assert!(expected.contains(&DeviceParams::small(8, 8)));
+        let built: HashSet<DeviceParams> = inner
+            .devices
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(_, cell)| cell.get().is_some())
+            .map(|(params, _)| *params)
+            .collect();
+        assert_eq!(built, expected);
+
+        let completed = inner.completed.lock().unwrap();
+        for (spec, reference) in specs.iter().zip(&references) {
+            // Rebuilding a job's flow reuses the memoized device.
+            let flow = build_flow(inner, spec).unwrap();
+            let again = build_flow(inner, spec).unwrap();
+            assert!(std::ptr::eq(
+                flow.device().config_layout(),
+                again.device().config_layout()
+            ));
+            assert_eq!(flow.device().params(), reference.device().params());
+
+            let campaign = spec.campaign().unwrap();
+            let fingerprint = flow.campaign_fingerprint(&campaign);
+            assert_eq!(reference.campaign_fingerprint(&campaign), fingerprint);
+            assert_eq!(
+                *completed[&fingerprint],
+                *reference.campaign(&campaign).unwrap(),
+                "{} on {:?}",
+                spec.variant,
+                spec.device
+            );
+        }
+        drop(completed);
+        assert_eq!(inner.devices.lock().unwrap().len(), expected.len());
+        assert!(fresh.inner.devices.lock().unwrap().is_empty());
+    }
 }

@@ -18,7 +18,7 @@ fn main() {
     let store = Arc::new(Store::open(&dir).expect("store directory is writable"));
 
     let (service, events) = CampaignService::new(ServiceConfig {
-        workers: 2,
+        workers: 1,
         store: Some(store.clone()),
     });
 
@@ -36,8 +36,9 @@ fn main() {
             .expect("the spec validates");
     }
 
-    // Jobs advance one batch per turn, so with two workers the progress
-    // events of both jobs interleave.
+    // Jobs advance one batch per turn and then requeue behind the other
+    // job, so the progress events of both jobs interleave. (With a worker
+    // per job, each job runs at its own pace and the order is up to timing.)
     let mut results = 0;
     while results < 2 {
         let event = events.recv().expect("the service is running");

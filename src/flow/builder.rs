@@ -44,7 +44,8 @@ pub struct FlowBuilder {
 }
 
 impl FlowBuilder {
-    /// Starts a flow of `design` onto `device` (both captured by clone).
+    /// Starts a flow of `design` onto `device`. Both are captured by clone;
+    /// a [`Device`] clone shares the built device rather than copying it.
     pub fn new(device: &Device, design: &Design) -> Self {
         Self {
             device: device.clone(),
@@ -143,7 +144,7 @@ impl FlowBuilder {
             (None, None) => Store::from_env(),
         };
         Flow {
-            device: Arc::new(self.device),
+            device: self.device,
             design: self.design,
             tmr: self.tmr,
             seed: self.seed,
@@ -164,7 +165,7 @@ impl FlowBuilder {
 /// with identical inputs — return the same `Arc` without recomputing.
 #[derive(Debug, Clone)]
 pub struct Flow {
-    device: Arc<Device>,
+    device: Device,
     design: Design,
     tmr: Option<TmrConfig>,
     seed: u64,

@@ -7,16 +7,21 @@
 //!   it produces;
 //! * an early-stopped session's outcomes equal the matching **prefix** of
 //!   the full batch run;
-//! * the unified error type chains to the failing layer.
+//! * the unified error type chains to the failing layer;
+//! * device auto-sizing is pure arithmetic: `device_params_for` names
+//!   exactly the device `device_for` builds.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use tmr_fpga::arch::Device;
+use tmr_fpga::arch::{Device, DeviceParams};
 use tmr_fpga::designs::counter;
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop};
-use tmr_fpga::flow::FlowBuilder;
+use tmr_fpga::flow::{device_for, device_params_for, FlowBuilder};
+use tmr_fpga::fuzz::{variant_config, RegressionCase};
+use tmr_fpga::synth::Design;
 use tmr_fpga::tmr::TmrConfig;
 use tmr_fpga::{ArtifactCache, Error};
+use tmr_serve::JobSpec;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
@@ -142,4 +147,74 @@ fn flow_errors_chain_to_the_failing_layer() {
     // A failed stage is not cached: retrying on a big enough device works
     // even with the same inputs (fresh flow, shared failure-free cache).
     assert_eq!(flow.cache().stats().entries, 2, "tmr + synth only");
+}
+
+/// Asserts that the sizing arithmetic and the built device agree for one
+/// design variant, both from `base` and from a deliberately undersized
+/// preset that forces the grid to grow.
+fn assert_sizing_matches_built_device(
+    what: &str,
+    design: &Design,
+    tmr: Option<TmrConfig>,
+    base: DeviceParams,
+    max_utilisation: f64,
+) {
+    let mut builder = FlowBuilder::new(&Device::small(2, 2), design);
+    if let Some(tmr) = tmr {
+        builder = builder.tmr(tmr);
+    }
+    let synthesized = builder.build().synthesized().expect("variant synthesizes");
+    let netlists = [synthesized.netlist()];
+    for params in [base, DeviceParams::small(4, 4)] {
+        assert_eq!(
+            device_params_for(params, &netlists, max_utilisation),
+            *device_for(params, &netlists, max_utilisation).params(),
+            "{what} from {params:?}"
+        );
+    }
+}
+
+#[test]
+fn device_params_for_names_the_device_device_for_builds() {
+    let designs = [
+        "fir",
+        "fir:paper",
+        "counter:4",
+        "accumulator:4",
+        "moving_sum:3,4,6",
+    ];
+    let variants = ["standard", "p1", "p2", "p3", "p3_nv"];
+    for design in designs {
+        for variant in variants {
+            let mut spec = JobSpec::new(design);
+            spec.variant = variant.to_string();
+            assert_sizing_matches_built_device(
+                &format!("{design} {variant}"),
+                &spec.design_instance().unwrap(),
+                spec.tmr_config().unwrap(),
+                DeviceParams::xc2s200e_like(),
+                0.50,
+            );
+        }
+    }
+
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fuzz_regressions");
+    let mut cases = 0;
+    for entry in std::fs::read_dir(&dir).expect("fuzz_regressions directory exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|ext| ext != "case") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("case file reads");
+        let case = RegressionCase::parse(&text).expect("case file parses");
+        assert_sizing_matches_built_device(
+            &path.display().to_string(),
+            &case.spec.to_design().expect("case design rebuilds"),
+            variant_config(&case.variant).expect("case variant is known"),
+            case.params,
+            case.options().max_utilisation,
+        );
+        cases += 1;
+    }
+    assert!(cases > 0, "no regression cases found in {dir:?}");
 }

@@ -248,8 +248,11 @@ fn identical_resubmission_is_served_without_simulation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two concurrent jobs over two workers make interleaved progress: each
-/// reports at least one batch before the other finishes.
+/// Two concurrent jobs make interleaved progress: each reports at least one
+/// batch before the other finishes. One worker serves both, so the order is
+/// fixed by the scheduler's one-batch turns and FIFO run queue rather than
+/// by how long each job's turns happen to take: a scheduler that ran a job
+/// to completion would fail here.
 #[test]
 fn concurrent_jobs_interleave_their_progress() {
     let mut left = spec("single");
@@ -258,7 +261,7 @@ fn concurrent_jobs_interleave_their_progress() {
     right.variant = "p3".to_string();
 
     let (service, events) = CampaignService::new(ServiceConfig {
-        workers: 2,
+        workers: 1,
         store: None,
     });
     service.submit(Some("left".to_string()), left).unwrap();
