@@ -11,6 +11,15 @@
 //! identical to a from-scratch cost evaluation — pinned per move by a
 //! `debug_assertions` cross-check against [`placement_wirelength`]'s full
 //! recompute.
+//!
+//! Moves are range-limited, as in VPR: a LUT or FF move draws its target
+//! tile from a window of ±`rlim` tiles around the cell's current tile, then
+//! a random site of its kind in that tile. `rlim` starts at the larger grid
+//! dimension and follows the acceptance rate after every temperature step
+//! (`rlim ← clamp(rlim · (0.56 + acceptance), 1, max(cols, rows))`), so at
+//! low temperature the annealer proposes the short moves it can still
+//! accept instead of rejecting almost every global one. IOB moves stay
+//! global: IOBs sit only on the perimeter.
 
 use crate::PnrError;
 use rand::rngs::StdRng;
@@ -32,7 +41,7 @@ impl Default for PlacerOptions {
     fn default() -> Self {
         Self {
             seed: 1,
-            moves_per_cell: 24,
+            moves_per_cell: 100,
         }
     }
 }
@@ -263,6 +272,40 @@ fn compute_box(device: &Device, members: &[CellId], site_of_cell: &[SiteId]) -> 
     net_box
 }
 
+/// The tile → sites index of one site kind, built once per [`place`] call
+/// for the range-limited move generator.
+struct TileSites {
+    cols: u16,
+    rows: u16,
+    /// Sites of the kind on each tile, indexed by `y * cols + x`.
+    sites: Vec<Vec<SiteId>>,
+}
+
+impl TileSites {
+    fn new(device: &Device, kind: SiteKind) -> Self {
+        let (cols, rows) = (device.cols(), device.rows());
+        let mut sites = vec![Vec::new(); usize::from(cols) * usize::from(rows)];
+        for &site in device.sites_of_kind(kind) {
+            let tile = device.site(site).tile;
+            sites[usize::from(tile.y) * usize::from(cols) + usize::from(tile.x)].push(site);
+        }
+        Self { cols, rows, sites }
+    }
+
+    /// A random site on a random tile at most `rlim` tiles from `tile` along
+    /// each axis, or `None` when the drawn tile has no site of this kind.
+    fn random_site_near(&self, tile: TileCoord, rlim: u16, rng: &mut StdRng) -> Option<SiteId> {
+        let x = rng.gen_range(
+            tile.x.saturating_sub(rlim)..=tile.x.saturating_add(rlim).min(self.cols - 1),
+        );
+        let y = rng.gen_range(
+            tile.y.saturating_sub(rlim)..=tile.y.saturating_add(rlim).min(self.rows - 1),
+        );
+        let pool = &self.sites[usize::from(y) * usize::from(self.cols) + usize::from(x)];
+        (!pool.is_empty()).then(|| pool[rng.gen_range(0..pool.len())])
+    }
+}
+
 /// Places a technology-mapped netlist onto a device.
 ///
 /// # Errors
@@ -347,23 +390,35 @@ pub fn place(
     let temperature_steps = 64usize;
     let moves_per_step = (total_moves / temperature_steps).max(1);
     let alpha = 0.92f64;
+    let max_rlim = f64::from(device.cols().max(device.rows()));
+    let mut rlim = max_rlim;
+    let lut_tiles = TileSites::new(device, SiteKind::Lut);
+    let ff_tiles = TileSites::new(device, SiteKind::Ff);
 
     // Reused per-move buffers: no allocation on the annealing hot path.
     let mut affected: Vec<u32> = Vec::new();
     let mut saved: Vec<(u32, NetBox)> = Vec::new();
 
     for _step in 0..temperature_steps {
+        let window = rlim as u16;
+        let mut accepted = 0usize;
         for _ in 0..moves_per_step {
             let cell = movable[rng.gen_range(0..movable.len())];
             let kind = required_site_kind(netlist.cell(cell).kind).expect("checked above");
-            let pool = device.sites_of_kind(kind);
-            let target = pool[rng.gen_range(0..pool.len())];
             let current = site_of_cell[cell.index()];
-            if target == current {
-                continue;
-            }
-            let occupant = cell_at_site.get(&target).copied();
             let current_tile = device.site(current).tile;
+            let target = match kind {
+                SiteKind::Lut => lut_tiles.random_site_near(current_tile, window, &mut rng),
+                SiteKind::Ff => ff_tiles.random_site_near(current_tile, window, &mut rng),
+                SiteKind::Iob => {
+                    let pool = device.sites_of_kind(kind);
+                    Some(pool[rng.gen_range(0..pool.len())])
+                }
+            };
+            let Some(target) = target.filter(|&target| target != current) else {
+                continue;
+            };
+            let occupant = cell_at_site.get(&target).copied();
             let target_tile = device.site(target).tile;
 
             if current_tile == target_tile {
@@ -378,6 +433,7 @@ pub fn place(
                 } else {
                     cell_at_site.remove(&current);
                 }
+                accepted += 1;
                 continue;
             }
 
@@ -444,6 +500,7 @@ pub fn place(
                     cell_at_site.remove(&current);
                 }
                 total_cost = (total_cost as i64 + delta) as u64;
+                accepted += 1;
             } else {
                 // Revert the assignment and the touched boxes.
                 site_of_cell[cell.index()] = current;
@@ -456,6 +513,8 @@ pub fn place(
             }
         }
         temperature *= alpha;
+        let acceptance = accepted as f64 / moves_per_step as f64;
+        rlim = (rlim * (0.56 + acceptance)).clamp(1.0, max_rlim);
     }
 
     debug_assert_eq!(
@@ -529,6 +588,49 @@ mod tests {
                 placement.wirelength(),
                 placement_wirelength(&device, &netlist, &placement),
                 "incremental wirelength diverged (seed {seed})"
+            );
+        }
+    }
+
+    #[test]
+    fn range_limited_moves_stay_inside_the_window_and_the_grid() {
+        let device = Device::small(7, 5);
+        let mut rng = StdRng::seed_from_u64(3);
+        for kind in [SiteKind::Lut, SiteKind::Ff] {
+            let index = TileSites::new(&device, kind);
+            for _ in 0..2000 {
+                let tile = TileCoord::new(rng.gen_range(0..7), rng.gen_range(0..5));
+                let rlim = rng.gen_range(1..=8u16);
+                let site = index
+                    .random_site_near(tile, rlim, &mut rng)
+                    .expect("every tile has LUT and FF sites");
+                let target = device.site(site);
+                assert_eq!(target.kind, kind);
+                assert!(target.tile.x < device.cols() && target.tile.y < device.rows());
+                assert!(target.tile.x.abs_diff(tile.x) <= rlim);
+                assert!(target.tile.y.abs_diff(tile.y) <= rlim);
+            }
+        }
+    }
+
+    #[test]
+    fn range_limited_anneal_is_deterministic_and_exact_on_a_fir() {
+        // Large enough for the range limiter to shrink to a few tiles.
+        let fir = tmr_designs::FirFilter::small_filter().to_design();
+        let netlist = techmap(&optimize(&lower(&fir).unwrap())).unwrap();
+        let device = Device::small(16, 16);
+        for seed in [1, 2] {
+            let options = PlacerOptions {
+                seed,
+                ..PlacerOptions::default()
+            };
+            let a = place(&device, &netlist, &options).unwrap();
+            let b = place(&device, &netlist, &options).unwrap();
+            assert!(a.iter().eq(b.iter()), "seed {seed}: placement differs");
+            assert_eq!(
+                a.wirelength(),
+                placement_wirelength(&device, &netlist, &a),
+                "seed {seed}: incremental wirelength diverged"
             );
         }
     }

@@ -15,6 +15,17 @@ use tmr_sim::GoldenRun;
 use tmr_store::{PersistentCache, Store};
 use tmr_synth::Design;
 
+/// Version of the implementation algorithms — placement, routing and
+/// bitstream generation — folded into every key downstream of them
+/// ([`Flow::implementation_fp`] and [`Flow::campaign_fingerprint`]). A disk
+/// store filled by an older implementation then misses instead of serving
+/// its routes, campaign results or resumable `campaign.partial` prefixes.
+/// Bump it whenever place, route or bitgen output changes for identical
+/// inputs.
+///
+/// 1: range-limited annealing placement, 100 moves per cell.
+pub(crate) const IMPLEMENTATION_VERSION: u64 = 1;
+
 /// Builder for a single staged implementation [`Flow`].
 ///
 /// ```
@@ -149,6 +160,7 @@ impl FlowBuilder {
             tmr: self.tmr,
             seed: self.seed,
             shards: self.shards,
+            in_sweep: false,
             cache: PersistentCache::new(self.cache.unwrap_or_default(), disk),
             identity,
             device_fp,
@@ -170,6 +182,12 @@ pub struct Flow {
     tmr: Option<TmrConfig>,
     seed: u64,
     shards: Option<usize>,
+    /// Set on [`Sweep::run`](super::Sweep::run)'s variant flows, which
+    /// already run one thread each: their stages then route on one worker
+    /// and run campaigns on one shard (unless a shard count was set),
+    /// instead of nesting a per-core thread pool inside every variant
+    /// thread. Results are identical either way.
+    pub(super) in_sweep: bool,
     cache: PersistentCache,
     /// Fingerprint of `(design, tmr config)`: since every stage is a
     /// deterministic function, downstream keys derive from this instead of
@@ -291,11 +309,15 @@ impl Flow {
             || {
                 let synthesized = self.synthesized()?;
                 let placed = self.placed()?;
+                let options = RouterOptions {
+                    workers: if self.in_sweep { 1 } else { 0 },
+                    ..RouterOptions::default()
+                };
                 let (routes, telemetry) = route_with_telemetry(
                     &self.device,
                     synthesized.netlist(),
                     placed.placement(),
-                    &RouterOptions::default(),
+                    &options,
                 );
                 let routes = routes?;
                 if tmr_trace::enabled() {
@@ -408,7 +430,7 @@ impl Flow {
                 if let Some(compiled) = &compiled {
                     configured = configured.compiled(compiled.netlist().clone());
                 }
-                if let Some(shards) = self.shards {
+                if let Some(shards) = self.shard_override() {
                     configured = configured.shards(shards);
                 }
                 let result = configured
@@ -426,21 +448,20 @@ impl Flow {
     /// configuration — the key the result is memoized and persisted under.
     ///
     /// The fingerprint covers exactly what can change the outcomes: the
-    /// implemented design (identity × device × seed) plus the campaign
-    /// options (fault count, seeds, the fault model — single-bit, MBU
-    /// cluster shape or upsets per scrub — and any static restriction),
-    /// batch size and early-stop rule (an early stop lands on a batch
-    /// boundary). Shard count, the simulation backend and any attached
-    /// golden run or compiled netlist are deliberately absent — they never
-    /// change results, only how (fast) they are computed.
+    /// implemented design (identity × device × seed × implementation
+    /// algorithm version) plus the campaign options (fault count, seeds,
+    /// the fault model — single-bit, MBU cluster shape or upsets per scrub
+    /// — and any static restriction), batch size and early-stop rule (an
+    /// early stop lands on a batch boundary). Shard count, the simulation
+    /// backend and any attached golden run or compiled netlist are
+    /// deliberately absent — they never change results, only how (fast)
+    /// they are computed.
     ///
     /// The campaign daemon (`tmr-serve`) keys its resumable outcome
     /// prefixes under the same fingerprint (stage `campaign.partial`).
     pub fn campaign_fingerprint(&self, campaign: &CampaignBuilder) -> u64 {
         fingerprint(&[
-            &self.identity,
-            &self.device_fp,
-            &self.seed,
+            &self.implementation_fp(),
             campaign.options(),
             &campaign.batch_size_hint(),
             &campaign.early_stop_rule(),
@@ -482,7 +503,7 @@ impl Flow {
         if let Some(compiled) = &compiled {
             configured = configured.compiled(compiled.netlist().clone());
         }
-        if let Some(shards) = self.shards {
+        if let Some(shards) = self.shard_override() {
             configured = configured.shards(shards);
         }
         configured
@@ -501,12 +522,63 @@ impl Flow {
         }
     }
 
-    /// Fingerprint of the implemented design: identity × device × seed.
+    /// The campaign shard count this flow imposes: the explicit override,
+    /// else one shard on a sweep's variant flow, else none (the campaign
+    /// builder's own setting applies).
+    fn shard_override(&self) -> Option<usize> {
+        self.shards.or(self.in_sweep.then_some(1))
+    }
+
+    /// Fingerprint of the implemented design: identity × device × seed ×
+    /// [`IMPLEMENTATION_VERSION`].
     fn implementation_fp(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_u64(self.identity)
             .write_u64(self.device_fp)
-            .write_u64(self.seed);
+            .write_u64(self.seed)
+            .write_u64(IMPLEMENTATION_VERSION);
         fp.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn route_saved_under_the_pre_bump_key_is_a_store_miss() {
+        let dir = std::env::temp_dir().join(format!("tmr-builder-version-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let device = Device::small(8, 8);
+        let design = tmr_designs::counter(4);
+        let builder = || FlowBuilder::new(&device, &design).tmr(TmrConfig::paper_p2());
+
+        // A stale artifact, distinguishable from the real one: the route of
+        // another placement seed, saved under the key this flow's route had
+        // before the implementation version was part of it.
+        let stale = builder().seed(2).build().routed().unwrap();
+        let flow = builder().cache_dir(&dir).build();
+        let mut legacy = Fingerprint::new();
+        legacy
+            .write_u64(flow.identity)
+            .write_u64(flow.device_fp)
+            .write_u64(flow.seed);
+        let store = flow.store().expect("cache_dir attaches a store").clone();
+        store.save_value(CacheKey::new("route", legacy.finish()), stale.design());
+
+        let routed = flow.routed().unwrap();
+        assert!(
+            routed.route_telemetry().is_some(),
+            "the flow must route instead of serving the stale artifact"
+        );
+        assert_ne!(routed.bitstream().words(), stale.bitstream().words());
+        let route = store
+            .stage_stats()
+            .into_iter()
+            .find(|&(stage, _)| stage == "route")
+            .map(|(_, stats)| stats)
+            .unwrap();
+        assert_eq!((route.hits, route.misses), (0, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

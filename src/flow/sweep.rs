@@ -216,7 +216,9 @@ impl Sweep {
         self
     }
 
-    /// Campaign worker-shard override shared by every variant.
+    /// Campaign worker-shard override shared by every variant (default:
+    /// one shard per variant in [`run`](Self::run), whose variant threads
+    /// already fill the cores).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
@@ -351,14 +353,21 @@ impl Sweep {
     /// The variants are implemented on parallel `std::thread::scope` flow
     /// threads — each variant's place-and-route is independent of the
     /// others' — and the results are merged back in variant order, so the
-    /// report (and any error) is identical to a sequential run.
+    /// report (and any error) is identical to a sequential run. Since the
+    /// variants already fill the cores, each flow routes on one worker and
+    /// runs its campaign on one shard (unless [`shards`](Self::shards) is
+    /// set) rather than spawning a thread pool per variant; the results are
+    /// the same for any worker or shard count.
     ///
     /// # Errors
     ///
     /// Propagates any stage error of any variant; when several variants
     /// fail, the error of the earliest one in sweep order is returned.
     pub fn run(&self) -> Result<SweepReport, Error> {
-        let (device, flows) = self.flows()?;
+        let (device, mut flows) = self.flows()?;
+        for (_, flow) in &mut flows {
+            flow.in_sweep = true;
+        }
         let flows_store = flows.first().and_then(|(_, flow)| flow.store().cloned());
         let trace_parent = tmr_trace::current_span();
         let results: Vec<Result<VariantReport, Error>> = std::thread::scope(|scope| {

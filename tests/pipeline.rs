@@ -7,6 +7,9 @@
 //!   it produces;
 //! * an early-stopped session's outcomes equal the matching **prefix** of
 //!   the full batch run;
+//! * a [`Sweep`]'s variant flows, which route on one worker and run
+//!   campaigns on one shard, match the same variants run one by one at
+//!   default parallelism;
 //! * the unified error type chains to the failing layer;
 //! * device auto-sizing is pure arithmetic: `device_params_for` names
 //!   exactly the device `device_for` builds.
@@ -14,9 +17,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tmr_fpga::arch::{Device, DeviceParams};
-use tmr_fpga::designs::counter;
+use tmr_fpga::designs::{counter, FirFilter};
 use tmr_fpga::faultsim::{CampaignBuilder, EarlyStop};
-use tmr_fpga::flow::{device_for, device_params_for, FlowBuilder};
+use tmr_fpga::flow::{device_for, device_params_for, FlowBuilder, Sweep};
 use tmr_fpga::fuzz::{variant_config, RegressionCase};
 use tmr_fpga::synth::Design;
 use tmr_fpga::tmr::TmrConfig;
@@ -123,6 +126,38 @@ fn early_stopped_session_is_a_prefix_of_the_batch_campaign() {
         full.outcomes[..streamed.injected()],
         "an early-stopped session must equal the matching prefix of the batch run"
     );
+}
+
+#[test]
+fn sweep_matches_its_variants_run_one_by_one() {
+    let base = FirFilter::small_filter().to_design();
+    let device = Device::small(24, 24);
+    let campaign = CampaignBuilder::new().faults(300).cycles(8);
+    let report = Sweep::paper(&base)
+        .on_device(&device)
+        .campaign(campaign.clone())
+        .run()
+        .unwrap();
+    assert_eq!(report.variants.len(), 5);
+    for variant in &report.variants {
+        let mut builder = FlowBuilder::new(&device, &base);
+        if let Some(config) = &variant.config {
+            builder = builder.tmr(config.clone());
+        }
+        let flow = builder.build();
+        assert_eq!(
+            flow.routed().unwrap().bitstream().words(),
+            variant.routed.bitstream().words(),
+            "{}: bitstream differs",
+            variant.name
+        );
+        assert_eq!(
+            *flow.campaign(&campaign).unwrap(),
+            **variant.campaign.as_ref().unwrap(),
+            "{}: campaign differs",
+            variant.name
+        );
+    }
 }
 
 #[test]

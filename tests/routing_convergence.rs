@@ -1,23 +1,32 @@
 //! PathFinder convergence regression (per-iteration router telemetry).
 //!
 //! The five small-FIR paper variants must route on the reference 24x24
-//! device within a pinned negotiation-iteration budget. A router or
-//! cost-schedule change that degrades convergence shows up here as an
-//! iteration-count regression long before it becomes a routing failure.
+//! device within a pinned negotiation-iteration budget and a pinned total
+//! search effort. A placement, router or cost-schedule change that degrades
+//! convergence shows up here as an iteration- or expansion-count regression
+//! long before it becomes a routing failure. The pins only ever move down.
 
 use tmr_fpga::arch::Device;
 use tmr_fpga::designs::FirFilter;
 use tmr_fpga::flow::Sweep;
 use tmr_fpga::pnr::{route_with_telemetry, RouterOptions};
 
-/// Measured convergence today (A* lookahead router with the
-/// contention-adaptive heuristic weight): standard 9, tmr_p3_nv 12,
-/// tmr_p2 22, tmr_p3 28 and tmr_p1 (the most congested variant on the
-/// deliberately tight 24x24 device) 114 iterations. The budget leaves
+/// Measured convergence today (range-limited annealing placement, A*
+/// lookahead router with the contention-adaptive heuristic weight):
+/// standard 5, tmr_p3_nv 6, tmr_p1 9, tmr_p2 9 and tmr_p3 10 iterations.
+/// Before the placer's range limiter, tmr_p1 (the most congested variant on
+/// the deliberately tight 24x24 device) took 114. The budget leaves
 /// headroom for cost-schedule tweaks without letting convergence quietly
-/// decay toward the router's hard limit of 250, where `tmr_p1` would start
-/// failing.
-const ITERATION_BUDGET: usize = 150;
+/// decay back toward that.
+const ITERATION_BUDGET: usize = 30;
+
+/// Ceiling on A* queue pops summed over the five variants (measured:
+/// 271,890; 10.98 M before the placer's range limiter).
+const NODES_EXPANDED_BUDGET: u64 = 1_000_000;
+
+/// Ceiling on tmr_p1's placement wirelength, the cost the annealer
+/// minimises (measured: 5,512; 10,908 before the range limiter).
+const TMR_P1_WIRELENGTH_BUDGET: u64 = 7_000;
 
 #[test]
 fn paper_variants_route_within_the_iteration_budget() {
@@ -28,9 +37,18 @@ fn paper_variants_route_within_the_iteration_budget() {
         .flows()
         .expect("the paper variants implement on the 24x24 device");
 
+    let mut nodes_expanded = 0;
     for (name, flow) in flows {
         let synthesized = flow.synthesized().expect("synthesis succeeds");
         let placed = flow.placed().expect("placement succeeds");
+        if name == "tmr_p1" {
+            let wirelength = placed.placement().wirelength();
+            assert!(
+                wirelength <= TMR_P1_WIRELENGTH_BUDGET,
+                "tmr_p1 placement wirelength {wirelength} exceeds {TMR_P1_WIRELENGTH_BUDGET} \
+                 — the annealer stopped converging"
+            );
+        }
         let (routes, telemetry) = route_with_telemetry(
             &device,
             synthesized.netlist(),
@@ -43,6 +61,7 @@ fn paper_variants_route_within_the_iteration_budget() {
             telemetry.converged(),
             "variant {name}: successful route must end with zero overused nodes"
         );
+        nodes_expanded += telemetry.total_nodes_expanded();
         assert!(
             telemetry.iteration_count() >= 1,
             "variant {name}: telemetry must record every iteration"
@@ -76,4 +95,9 @@ fn paper_variants_route_within_the_iteration_budget() {
             "variant {name}"
         );
     }
+    assert!(
+        nodes_expanded <= NODES_EXPANDED_BUDGET,
+        "the five variants expanded {nodes_expanded} nodes (budget {NODES_EXPANDED_BUDGET}) \
+         — convergence regressed"
+    );
 }

@@ -328,11 +328,21 @@ mod interruption_points {
                 }
             };
             if !finished {
-                service.pause("victim").unwrap();
-                let deadline = Instant::now() + Duration::from_secs(120);
-                while service.status()[0].state == "running" {
-                    prop_assert!(Instant::now() < deadline, "pause parks the job");
-                    std::thread::sleep(Duration::from_millis(10));
+                match service.pause("victim") {
+                    Ok(()) => {
+                        let deadline = Instant::now() + Duration::from_secs(120);
+                        while service.status()[0].state == "running" {
+                            prop_assert!(Instant::now() < deadline, "pause parks the job");
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                    }
+                    // The job finished between its last progress event and
+                    // the pause: the same case as `finished`.
+                    Err(error) => prop_assert!(
+                        error.ends_with("already finished"),
+                        "pause failed: {}",
+                        error
+                    ),
                 }
             }
             drop(service);
