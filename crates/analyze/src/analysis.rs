@@ -1,8 +1,9 @@
 //! The whole-bitstream static criticality analysis.
 
+use crate::verdict::{domain_mask, domains_from_mask};
 use crate::{CriticalityReport, Verdict};
 use std::collections::{BTreeMap, BTreeSet};
-use tmr_arch::Device;
+use tmr_arch::{BitCategory, Device};
 use tmr_faultsim::{classify_bit, FaultClass};
 use tmr_netlist::{Domain, Netlist};
 use tmr_pnr::RoutedDesign;
@@ -11,14 +12,24 @@ use tmr_sim::OutputGroups;
 /// The result of statically analyzing every configuration bit of a routed
 /// design.
 ///
-/// [`StaticAnalysis::run`] walks the complete configuration space — not a
-/// random sample — and classifies each bit with `tmr-faultsim`'s structural
+/// [`StaticAnalysis::run`] gives every bit of the configuration space a
+/// verdict — not a random sample. It classifies each *design-related* bit
+/// ([`RoutedDesign::design_related_bits`]) with `tmr-faultsim`'s structural
 /// effect machinery ([`classify_bit`]) used *purely structurally*: the derived
 /// fault overlay is never simulated, only the TMR domains of the affected
 /// nets and sinks are inspected. This gives exhaustive coverage of the
 /// domain-crossing bits (the paper's voter-defeating upsets) at a cost of
 /// microseconds per bit, where the dynamic campaign pays a full multi-cycle
 /// simulation per sampled bit.
+///
+/// Every other bit is [`Verdict::Benign`] by construction, with the class
+/// [`classify_bit`] gives an unused resource. Such a bit is a truth-table
+/// bit of an empty LUT site, the init bit of an empty flip-flop site, or a
+/// PIP neither of whose endpoints any net uses. A PIP whose bit is set
+/// always has used endpoints, so it is never among them; enabling an unused
+/// PIP connects two floating wires and reaches no net; an empty site feeds
+/// no cell. None of these flips changes an overlay, so no domain is affected.
+/// The workspace tests check this against a walk that classifies every bit.
 ///
 /// # Soundness preconditions
 ///
@@ -42,42 +53,13 @@ pub struct StaticAnalysis {
     design: String,
     verdicts: Vec<Verdict>,
     classes: Vec<FaultClass>,
-    /// The *exact* affected-domain set of each bit, as a [`domain_mask`]
-    /// bitmask — verdicts are lossy (`SingleDomain` keeps only the least
+    /// The *exact* affected-domain set of each bit, as a bitmask (one bit
+    /// per [`Domain`]) — verdicts are lossy (`SingleDomain` keeps only the least
     /// protected domain), so cluster merging works on these instead.
     domain_masks: Vec<u8>,
     design_related: usize,
     voted_tmr: bool,
     observable: Vec<usize>,
-}
-
-/// Encodes a set of TMR domains as a bitmask (one bit per [`Domain`]
-/// variant), the exact per-bit record cluster verdicts merge over.
-fn domain_mask(domains: &BTreeSet<Domain>) -> u8 {
-    domains.iter().fold(0u8, |mask, domain| {
-        mask | match domain {
-            Domain::None => 1 << 0,
-            Domain::Tr0 => 1 << 1,
-            Domain::Tr1 => 1 << 2,
-            Domain::Tr2 => 1 << 3,
-            Domain::Voter => 1 << 4,
-        }
-    })
-}
-
-/// Decodes a [`domain_mask`] back into the domain set.
-fn domains_from_mask(mask: u8) -> BTreeSet<Domain> {
-    [
-        (1 << 0, Domain::None),
-        (1 << 1, Domain::Tr0),
-        (1 << 2, Domain::Tr1),
-        (1 << 3, Domain::Tr2),
-        (1 << 4, Domain::Voter),
-    ]
-    .into_iter()
-    .filter(|&(bit, _)| mask & bit != 0)
-    .map(|(_, domain)| domain)
-    .collect()
 }
 
 impl StaticAnalysis {
@@ -90,25 +72,27 @@ impl StaticAnalysis {
         trace_span.attr("design", netlist.name());
         trace_span.attr("bits", layout.bit_count());
 
-        let mut verdicts = Vec::with_capacity(layout.bit_count());
-        let mut classes = Vec::with_capacity(layout.bit_count());
-        let mut domain_masks = Vec::with_capacity(layout.bit_count());
+        // Bits outside the design-related set are benign by construction
+        // (see the type-level documentation); only their class depends on
+        // the bit.
+        let mut verdicts = vec![Verdict::Benign; layout.bit_count()];
+        let mut classes: Vec<FaultClass> = (0..layout.bit_count())
+            .map(|bit| unused_resource_class(layout.category_at(bit)))
+            .collect();
+        let mut domain_masks = vec![0; layout.bit_count()];
         let mut observable = Vec::new();
         let mut design_related = 0;
-        for bit in 0..layout.bit_count() {
-            let resource = layout.resource_at(bit).expect("bit in range");
-            if routed.resource_is_design_related(device, &resource) {
-                design_related += 1;
-            }
+        for bit in routed.design_related_bits(device) {
+            design_related += 1;
             let effect = classify_bit(device, routed, bit);
-            let affected = effect.affected_domains(routed);
-            let verdict = Verdict::from_affected_domains(&affected, effect.class);
+            let mask = domain_mask(effect.affected_domain_iter(routed));
+            let verdict = Verdict::from_domain_mask(mask, effect.class);
             if verdict.possibly_observable(voted_tmr) {
                 observable.push(bit);
             }
-            verdicts.push(verdict);
-            classes.push(effect.class);
-            domain_masks.push(domain_mask(&affected));
+            verdicts[bit] = verdict;
+            classes[bit] = effect.class;
+            domain_masks[bit] = mask;
         }
         trace_span.attr("observable", observable.len());
         trace_span.attr("design_related", design_related);
@@ -180,10 +164,27 @@ impl StaticAnalysis {
             }
             mask |= self.domain_masks[bit];
         }
-        Verdict::from_affected_domains(
-            &domains_from_mask(mask),
-            class.unwrap_or(self.classes[bits[0]]),
-        )
+        Verdict::from_domain_mask(mask, class.unwrap_or(self.classes[bits[0]]))
+    }
+
+    /// The effect class of one configuration bit ([`classify_bit`]'s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the configuration space.
+    pub fn class(&self, bit: usize) -> FaultClass {
+        self.classes[bit]
+    }
+
+    /// The exact set of TMR domains one configuration bit's fault affects
+    /// ([`tmr_faultsim::BitEffect::affected_domains`]), from which its
+    /// verdict is judged; empty for benign bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the configuration space.
+    pub fn affected_domains(&self, bit: usize) -> BTreeSet<Domain> {
+        domains_from_mask(self.domain_masks[bit])
     }
 
     /// Whether a multi-bit fault could be observable at the voted outputs —
@@ -278,6 +279,17 @@ impl StaticAnalysis {
             crossing,
             defeating_bits,
         }
+    }
+}
+
+/// The class [`classify_bit`] gives a bit whose resource the design does not
+/// use: an unused LUT or flip-flop site, or a PIP with no used endpoint.
+fn unused_resource_class(category: BitCategory) -> FaultClass {
+    match category {
+        BitCategory::GeneralRouting => FaultClass::Others,
+        BitCategory::ClbCustomization => FaultClass::Mux,
+        BitCategory::LutContents => FaultClass::Lut,
+        BitCategory::FlipFlop => FaultClass::Initialization,
     }
 }
 

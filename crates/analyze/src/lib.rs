@@ -11,12 +11,13 @@
 //! crate discovers them *statically*, in the spirit of dependability-model-
 //! driven TMR evaluation, by walking the routed design's structure:
 //!
-//! * [`StaticAnalysis::run`] classifies **every** configuration bit into a
+//! * [`StaticAnalysis::run`] gives **every** configuration bit a
 //!   [`Verdict`] — [`Verdict::Benign`], [`Verdict::SingleDomain`] or
-//!   [`Verdict::DomainCrossing`] — by deriving each bit's structural effect
-//!   with [`tmr_faultsim::classify_bit`] and inspecting only the TMR domains
-//!   of the affected nets and sinks (no simulator run, exhaustive
-//!   whole-bitstream coverage);
+//!   [`Verdict::DomainCrossing`]. It derives the structural effect of each
+//!   design-related bit with [`tmr_faultsim::classify_bit`] and inspects only
+//!   the TMR domains of the affected nets and sinks (no simulator run); the
+//!   bits no design element uses are benign by construction, so the
+//!   coverage of the whole bitstream stays exhaustive;
 //! * [`CriticalityReport`] aggregates the verdict map into per-domain-pair ×
 //!   per-effect-class counts plus the TMR-defeating bit set, with text
 //!   ([`std::fmt::Display`]) and dependency-free JSON ([`Json`]) rendering;

@@ -36,6 +36,36 @@ pub enum Verdict {
     },
 }
 
+/// Every [`Domain`], in declaration (and [`domain_bit`]) order.
+const DOMAINS: [Domain; 5] = [
+    Domain::None,
+    Domain::Tr0,
+    Domain::Tr1,
+    Domain::Tr2,
+    Domain::Voter,
+];
+
+/// The bit of `domain` in a domain mask: one bit per [`Domain`] variant.
+fn domain_bit(domain: Domain) -> u8 {
+    1 << domain as u8
+}
+
+/// Encodes a set of TMR domains (repeats allowed) as a bitmask, the exact
+/// per-bit record verdicts are judged from and cluster verdicts merge over.
+pub(crate) fn domain_mask(domains: impl IntoIterator<Item = Domain>) -> u8 {
+    domains
+        .into_iter()
+        .fold(0, |mask, domain| mask | domain_bit(domain))
+}
+
+/// Decodes a [`domain_mask`] back into the domain set.
+pub(crate) fn domains_from_mask(mask: u8) -> BTreeSet<Domain> {
+    DOMAINS
+        .into_iter()
+        .filter(|&domain| mask & domain_bit(domain) != 0)
+        .collect()
+}
+
 impl Verdict {
     /// Derives the verdict from the set of affected domains
     /// ([`tmr_faultsim::BitEffect::affected_domains`]) and the effect class.
@@ -47,20 +77,27 @@ impl Verdict {
     /// (and kept observable) as a voter fault, never mistaken for a maskable
     /// single-copy fault.
     pub fn from_affected_domains(domains: &BTreeSet<Domain>, class: FaultClass) -> Self {
-        let mut redundant = domains.iter().copied().filter(|d| d.is_redundant());
-        if let Some(first) = redundant.next() {
-            if let Some(second) = redundant.next() {
-                return Verdict::DomainCrossing {
-                    domains: (first, second),
-                    class,
-                };
-            }
+        Self::from_domain_mask(domain_mask(domains.iter().copied()), class)
+    }
+
+    /// [`Verdict::from_affected_domains`] of a set encoded as a
+    /// [`domain_mask`].
+    pub(crate) fn from_domain_mask(mask: u8, class: FaultClass) -> Self {
+        let mut redundant = Domain::REDUNDANT
+            .into_iter()
+            .filter(|&domain| mask & domain_bit(domain) != 0);
+        let first = redundant.next();
+        if let (Some(first), Some(second)) = (first, redundant.next()) {
+            return Verdict::DomainCrossing {
+                domains: (first, second),
+                class,
+            };
         }
-        if domains.contains(&Domain::None) {
+        if mask & domain_bit(Domain::None) != 0 {
             Verdict::SingleDomain(Domain::None)
-        } else if domains.contains(&Domain::Voter) {
+        } else if mask & domain_bit(Domain::Voter) != 0 {
             Verdict::SingleDomain(Domain::Voter)
-        } else if let Some(&domain) = domains.iter().next() {
+        } else if let Some(domain) = first {
             Verdict::SingleDomain(domain)
         } else {
             Verdict::Benign
@@ -164,6 +201,43 @@ mod tests {
         assert!(voter.possibly_observable(true));
         let none = Verdict::SingleDomain(Domain::None);
         assert!(none.possibly_observable(true));
+    }
+
+    /// The set-based definition of the verdict precedence.
+    fn reference_verdict(domains: &BTreeSet<Domain>, class: FaultClass) -> Verdict {
+        let mut redundant = domains.iter().copied().filter(|d| d.is_redundant());
+        if let Some(first) = redundant.next() {
+            if let Some(second) = redundant.next() {
+                return Verdict::DomainCrossing {
+                    domains: (first, second),
+                    class,
+                };
+            }
+        }
+        if domains.contains(&Domain::None) {
+            Verdict::SingleDomain(Domain::None)
+        } else if domains.contains(&Domain::Voter) {
+            Verdict::SingleDomain(Domain::Voter)
+        } else if let Some(&domain) = domains.iter().next() {
+            Verdict::SingleDomain(domain)
+        } else {
+            Verdict::Benign
+        }
+    }
+
+    #[test]
+    fn mask_verdicts_match_the_set_definition_on_every_domain_set() {
+        for mask in 0..1u8 << DOMAINS.len() {
+            let domains = domains_from_mask(mask);
+            assert_eq!(domain_mask(domains.iter().copied()), mask);
+            for class in FaultClass::ALL {
+                assert_eq!(
+                    Verdict::from_domain_mask(mask, class),
+                    reference_verdict(&domains, class),
+                    "{domains:?}"
+                );
+            }
+        }
     }
 
     #[test]

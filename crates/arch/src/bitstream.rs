@@ -128,11 +128,16 @@ impl Bitstream {
 
     /// Iterates over the indices of all bits set to 1.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
-            let len = self.len;
-            (0..64).filter_map(move |b| {
-                let bit = wi * 64 + b;
-                (bit < len && (word >> b) & 1 == 1).then_some(bit)
+        // Bits at or beyond `len` are always zero, so only set bits are
+        // visited, lowest first.
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = wi * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    bit
+                })
             })
         })
     }

@@ -1,9 +1,9 @@
 //! Translation of a flipped configuration bit into its fault class and its
 //! structural effect on the routed design.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use tmr_arch::{ConfigResource, Device, NodeId, PipId, RouteNode};
+use tmr_arch::{ConfigResource, Device, PipId, RouteNode};
 use tmr_netlist::{CellKind, Domain, NetId};
 use tmr_pnr::RoutedDesign;
 use tmr_sim::{FaultOverlay, SinkRef};
@@ -104,37 +104,39 @@ impl BitEffect {
     /// An empty set means the flip cannot change the configured circuit's
     /// behaviour.
     pub fn affected_domains(&self, routed: &RoutedDesign) -> BTreeSet<Domain> {
+        self.affected_domain_iter(routed).collect()
+    }
+
+    /// The domains of [`BitEffect::affected_domains`], unordered and possibly
+    /// repeated: lets callers fold them (e.g. into a bitmask) without
+    /// building a set per bit.
+    pub fn affected_domain_iter<'a>(
+        &'a self,
+        routed: &'a RoutedDesign,
+    ) -> impl Iterator<Item = Domain> + 'a {
         let netlist = routed.netlist();
-        let mut domains = BTreeSet::new();
-        for &(cell, _) in &self.overlay.lut_overrides {
+        let overlay = &self.overlay;
+        let luts = overlay.lut_overrides.iter().map(|&(cell, _)| cell);
+        let ffs = overlay.ff_init_overrides.iter().map(|&(cell, _)| cell);
+        let cells = luts.chain(ffs).flat_map(move |cell| {
             let cell = netlist.cell(cell);
-            domains.insert(cell.domain);
-            domains.insert(routed.net_domain(cell.output));
-        }
-        for &(cell, _) in &self.overlay.ff_init_overrides {
-            let cell = netlist.cell(cell);
-            domains.insert(cell.domain);
-            domains.insert(routed.net_domain(cell.output));
-        }
-        for &sink in &self.overlay.opened_sinks {
-            match sink {
-                SinkRef::CellPin { cell, pin } => {
-                    let net = netlist.cell(cell).inputs[pin];
-                    domains.insert(routed.net_domain(net));
-                }
-                SinkRef::OutputPort(port) => {
-                    domains.insert(routed.net_domain(netlist.port(port).net));
-                }
-            }
-        }
-        for &(a, b) in &self.overlay.shorted_nets {
-            domains.insert(routed.net_domain(a));
-            domains.insert(routed.net_domain(b));
-        }
-        for &net in &self.overlay.corrupted_nets {
-            domains.insert(routed.net_domain(net));
-        }
-        domains
+            [cell.domain, routed.net_domain(cell.output)]
+        });
+        let opened = overlay.opened_sinks.iter().map(move |&sink| {
+            routed.net_domain(match sink {
+                SinkRef::CellPin { cell, pin } => netlist.cell(cell).inputs[pin],
+                SinkRef::OutputPort(port) => netlist.port(port).net,
+            })
+        });
+        let shorted = overlay
+            .shorted_nets
+            .iter()
+            .flat_map(move |&(a, b)| [routed.net_domain(a), routed.net_domain(b)]);
+        let corrupted = overlay
+            .corrupted_nets
+            .iter()
+            .map(move |&net| routed.net_domain(net));
+        cells.chain(opened).chain(shorted).chain(corrupted)
     }
 }
 
@@ -480,41 +482,15 @@ fn classify_pip_flip(
 /// Builds the overlay of an *Open*: every sink of `net` that is no longer
 /// reachable from the source once every PIP in `removed_pips` is disabled
 /// reads `X` (a single-bit open removes one PIP; accumulated faults can
-/// remove several from the same tree).
+/// remove several from the same tree). See [`RoutedDesign::opened_sinks`].
 fn open_overlay(
     device: &Device,
     routed: &RoutedDesign,
     net: NetId,
     removed_pips: &[PipId],
 ) -> FaultOverlay {
-    let tree = routed.route_of(net).expect("routed net has a tree");
-    // Re-walk the tree without the removed PIPs.
-    let mut reachable: HashSet<NodeId> = HashSet::new();
-    reachable.insert(tree.source);
-    let mut remaining: Vec<PipId> = tree
-        .pips
-        .iter()
-        .copied()
-        .filter(|p| !removed_pips.contains(p))
-        .collect();
-    let mut progress = true;
-    while progress {
-        progress = false;
-        remaining.retain(|&pip_id| {
-            let pip = device.pip(pip_id);
-            if reachable.contains(&pip.src) {
-                reachable.insert(pip.dst);
-                progress = true;
-                false
-            } else {
-                true
-            }
-        });
-    }
-    let opened_sinks = tree
-        .sinks
-        .iter()
-        .filter(|(node, _, _)| !reachable.contains(node))
+    let opened_sinks = routed
+        .opened_sinks(device, net, removed_pips)
         .map(|&(_, cell, pin)| SinkRef::CellPin { cell, pin })
         .collect();
     FaultOverlay {
@@ -533,7 +509,8 @@ pub(crate) fn is_clb_mux_category(category: tmr_arch::PipCategory) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tmr_arch::Device;
+    use std::collections::HashSet;
+    use tmr_arch::{Device, NodeId};
     use tmr_designs::counter;
     use tmr_pnr::place_and_route;
     use tmr_synth::{lower, optimize, techmap};
@@ -813,5 +790,97 @@ mod tests {
             }
         }
         assert!(crossing > 0, "a routed TMR design has crossing candidates");
+    }
+
+    /// The reference definition of an open: re-walks the route tree with the
+    /// removed PIPs absent and reports, in tree-sink order, every sink no
+    /// longer reachable from the source.
+    fn rewalk_opened_sinks(
+        device: &Device,
+        routed: &RoutedDesign,
+        net: NetId,
+        removed_pips: &[PipId],
+    ) -> Vec<SinkRef> {
+        let tree = routed.route_of(net).expect("routed net has a tree");
+        let mut reachable: HashSet<NodeId> = HashSet::new();
+        reachable.insert(tree.source);
+        let mut remaining: Vec<PipId> = tree
+            .pips
+            .iter()
+            .copied()
+            .filter(|p| !removed_pips.contains(p))
+            .collect();
+        let mut progress = true;
+        while progress {
+            progress = false;
+            remaining.retain(|&pip_id| {
+                let pip = device.pip(pip_id);
+                if reachable.contains(&pip.src) {
+                    reachable.insert(pip.dst);
+                    progress = true;
+                    false
+                } else {
+                    true
+                }
+            });
+        }
+        tree.sinks
+            .iter()
+            .filter(|(node, _, _)| !reachable.contains(node))
+            .map(|&(_, cell, pin)| SinkRef::CellPin { cell, pin })
+            .collect()
+    }
+
+    /// The subtree-interval opens equal the tree re-walk, sink for sink and
+    /// in the same order, on every net of the routed paper variants: for
+    /// every single used PIP, and for seeded random 2–4-PIP subsets of each
+    /// net (the cumulative opens of multi-bit faults).
+    #[test]
+    fn interval_opens_match_the_tree_rewalk_on_the_paper_variants() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        use tmr_core::{apply_tmr, TmrConfig};
+        use tmr_designs::FirFilter;
+
+        let device = Device::small(24, 24);
+        let base = FirFilter::small_filter().to_design();
+        let mut rng = StdRng::seed_from_u64(14);
+        let (mut singles, mut subsets, mut opened) = (0, 0, 0);
+        let mut variants = vec![base.clone()];
+        for config in TmrConfig::paper_presets() {
+            variants.push(apply_tmr(&base, &config).unwrap());
+        }
+        for design in &variants {
+            let netlist = techmap(&optimize(&lower(design).unwrap())).unwrap();
+            let routed = place_and_route(&device, &netlist, 1).unwrap();
+            let mut nets: Vec<(NetId, &tmr_pnr::RouteTree)> = routed.routes().collect();
+            nets.sort_by_key(|&(net, _)| net);
+            for (net, tree) in nets {
+                let interval = |removed: &[PipId]| -> Vec<SinkRef> {
+                    open_overlay(&device, &routed, net, removed).opened_sinks
+                };
+                for &pip in &tree.pips {
+                    let expected = rewalk_opened_sinks(&device, &routed, net, &[pip]);
+                    assert_eq!(interval(&[pip]), expected, "{net}: open of {pip:?}");
+                    singles += 1;
+                    opened += expected.len();
+                }
+                if tree.pips.len() < 2 {
+                    continue;
+                }
+                for _ in 0..4 {
+                    let size = rng.gen_range(2..=4usize).min(tree.pips.len());
+                    let mut pips = tree.pips.clone();
+                    pips.shuffle(&mut rng);
+                    pips.truncate(size);
+                    let expected = rewalk_opened_sinks(&device, &routed, net, &pips);
+                    assert_eq!(interval(&pips), expected, "{net}: opens of {pips:?}");
+                    subsets += 1;
+                }
+            }
+        }
+        assert!(singles > 10_000 && subsets > 1_000, "{singles} / {subsets}");
+        assert!(opened > 0, "some opens disconnect sinks");
     }
 }

@@ -26,7 +26,7 @@ impl FaultList {
     /// once.
     pub fn build(device: &Device, routed: &RoutedDesign) -> Self {
         Self {
-            bits: routed.design_related_bits(device).to_vec(),
+            bits: routed.design_related_bits(device).collect(),
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::{place, route, Placement, PlacerOptions, PnrError, RouterOptions};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tmr_arch::{BitCategory, Bitstream, ConfigResource, Device, NodeId, PipId, SiteKind};
 use tmr_netlist::{CellId, CellKind, Domain, NetId, Netlist};
 
@@ -58,9 +59,88 @@ pub struct RoutedDesign {
     placement: Placement,
     routes: HashMap<NetId, RouteTree>,
     bitstream: Bitstream,
-    node_net: HashMap<NodeId, NetId>,
+    /// The net occupying each routing node, indexed by node.
+    node_net: Vec<Option<NetId>>,
     pip_net: HashMap<PipId, NetId>,
-    design_bits: std::sync::OnceLock<Vec<usize>>,
+    design_bits: OnceLock<Bitstream>,
+    tree_index: OnceLock<TreeIndex>,
+}
+
+/// Marks a node no route tree reaches in [`TreeIndex::span`].
+const UNREACHED: u32 = u32::MAX;
+
+/// The depth-first layout of every route tree: `span[node]` is the node's
+/// preorder position within its net's tree and the end of its subtree, so
+/// the nodes below `node` (itself included) are exactly those whose
+/// position lies in `span[node].0..span[node].1`. Opening a PIP cuts off
+/// the subtree of its destination node, and hence exactly the sinks whose
+/// positions fall in that interval.
+#[derive(Debug, Clone)]
+struct TreeIndex {
+    span: Vec<(u32, u32)>,
+}
+
+impl TreeIndex {
+    /// Lays out every route tree depth first.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the net, unless every tree is an arborescence rooted
+    /// at its source: no node has two drivers, every PIP and every sink is
+    /// reachable from the source.
+    fn build(device: &Device, routes: &HashMap<NetId, RouteTree>) -> Self {
+        let mut span = vec![(UNREACHED, UNREACHED); device.node_count()];
+        // Each tree's PIPs as (source node, destination node), sorted so a
+        // node's children form one contiguous run.
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for (&net, tree) in routes {
+            edges.clear();
+            edges.extend(tree.pips.iter().map(|&pip| {
+                let pip = device.pip(pip);
+                (pip.src.index() as u32, pip.dst.index() as u32)
+            }));
+            edges.sort_unstable();
+            let children_of = |node: u32| edges.partition_point(|&(src, _)| src < node);
+
+            let root = tree.source.index() as u32;
+            let mut next = 1;
+            span[root as usize].0 = 0;
+            stack.push((root, children_of(root)));
+            while let Some((node, cursor)) = stack.last_mut() {
+                match edges.get(*cursor) {
+                    Some(&(src, child)) if src == *node => {
+                        *cursor += 1;
+                        let slot = &mut span[child as usize];
+                        assert!(
+                            slot.0 == UNREACHED,
+                            "net {net}: route tree is not an arborescence: node {} has two drivers",
+                            NodeId::from_index(child as usize)
+                        );
+                        slot.0 = next;
+                        next += 1;
+                        stack.push((child, children_of(child)));
+                    }
+                    _ => {
+                        span[*node as usize].1 = next;
+                        stack.pop();
+                    }
+                }
+            }
+            assert_eq!(
+                next as usize,
+                edges.len() + 1,
+                "net {net}: route tree is not an arborescence: some PIP is unreachable from the source"
+            );
+            for &(sink, _, _) in &tree.sinks {
+                assert!(
+                    span[sink.index()].0 != UNREACHED,
+                    "net {net}: sink node {sink} is not reached by its route tree"
+                );
+            }
+        }
+        TreeIndex { span }
+    }
 }
 
 impl RoutedDesign {
@@ -91,19 +171,54 @@ impl RoutedDesign {
 
     /// The net using a routing node, if any.
     pub fn net_of_node(&self, node: NodeId) -> Option<NetId> {
-        self.node_net.get(&node).copied()
-    }
-
-    /// Iterates over every routing node occupied by some net. Lets bulk
-    /// consumers (e.g. the fault-list builder) precompute a used-node mask
-    /// once instead of hashing per configuration bit.
-    pub fn used_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_net.keys().copied()
+        self.node_net.get(node.index()).copied().flatten()
     }
 
     /// The net whose tree enables a PIP, if any.
     pub fn net_of_pip(&self, pip: PipId) -> Option<NetId> {
         self.pip_net.get(&pip).copied()
+    }
+
+    /// The sinks of `net` that lose their driver when every PIP in
+    /// `removed` (PIPs of `net`'s tree) is opened at once, in
+    /// [`RouteTree::sinks`] order.
+    ///
+    /// A route tree is an arborescence, so a sink is cut off exactly when
+    /// one of the opened PIPs lies on its path from the source, i.e. when
+    /// the sink sits in the subtree below that PIP. The depth-first layout
+    /// answering this is built once per design, on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not routed, or (on first use) if some route tree
+    /// is not an arborescence rooted at its source.
+    pub fn opened_sinks<'a>(
+        &'a self,
+        device: &Device,
+        net: NetId,
+        removed: &[PipId],
+    ) -> impl Iterator<Item = &'a (NodeId, CellId, usize)> + 'a {
+        let tree = self.route_of(net).expect("routed net has a tree");
+        let span = &self
+            .tree_index
+            .get_or_init(|| TreeIndex::build(device, &self.routes))
+            .span;
+        let cuts: Vec<(u32, u32)> = removed
+            .iter()
+            .map(|&pip| {
+                debug_assert_eq!(
+                    self.net_of_pip(pip),
+                    Some(net),
+                    "{pip:?} is not in the tree"
+                );
+                span[device.pip(pip).dst.index()]
+            })
+            .collect();
+        tree.sinks.iter().filter(move |(node, _, _)| {
+            let position = span[node.index()].0;
+            cuts.iter()
+                .any(|&(start, end)| (start..end).contains(&position))
+        })
     }
 
     /// The TMR domain of the signal carried by a net.
@@ -131,15 +246,12 @@ impl RoutedDesign {
     /// touching a node used by the design, the truth-table bits of every used
     /// LUT and the configuration bit of every used flip-flop. These are the
     /// bits the paper's Fault List Manager extracts from its bitstream
-    /// database, and the columns of Table 2.
+    /// database, and the columns of Table 2. Counted over the cached
+    /// [`RoutedDesign::design_related_bits`].
     pub fn bit_report(&self, device: &Device) -> BitReport {
         let mut report = BitReport::default();
         let layout = device.config_layout();
-        for bit in 0..layout.bit_count() {
-            let resource = layout.resource_at(bit).expect("bit in range");
-            if !self.resource_is_design_related(device, &resource) {
-                continue;
-            }
+        for bit in self.design_related_bits(device) {
             match layout.category_at(bit) {
                 BitCategory::GeneralRouting => report.routing_bits += 1,
                 BitCategory::ClbCustomization => report.clb_mux_bits += 1,
@@ -157,7 +269,7 @@ impl RoutedDesign {
         match *resource {
             ConfigResource::Pip(pip) => {
                 let pip = device.pip(pip);
-                self.node_net.contains_key(&pip.src) || self.node_net.contains_key(&pip.dst)
+                self.net_of_node(pip.src).is_some() || self.net_of_node(pip.dst).is_some()
             }
             ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
                 self.placement.cell_at(site).is_some()
@@ -170,36 +282,24 @@ impl RoutedDesign {
     /// [`RoutedDesign::resource_is_design_related`]. This is the fault-list
     /// population of the paper's Fault List Manager.
     ///
-    /// The scan is computed once per routed design and cached: the used-node
-    /// and used-site sets are materialized as index masks, so the pass over
-    /// the (large) configuration memory costs two array probes per bit, and
-    /// repeated campaigns on the same design (sweeps, streaming benches)
-    /// reuse the list for free.
-    pub fn design_related_bits(&self, device: &Device) -> &[usize] {
-        self.design_bits.get_or_init(|| {
-            let layout = device.config_layout();
-            let mut node_used = vec![false; device.node_count()];
-            for &node in self.node_net.keys() {
-                node_used[node.index()] = true;
-            }
-            let mut site_used = vec![false; device.site_count()];
-            for (_, site) in self.placement.iter() {
-                site_used[site.index()] = true;
-            }
-            (0..layout.bit_count())
-                .filter(
-                    |&bit| match layout.resource_at(bit).expect("bit in range") {
-                        ConfigResource::Pip(pip) => {
-                            let pip = device.pip(pip);
-                            node_used[pip.src.index()] || node_used[pip.dst.index()]
-                        }
-                        ConfigResource::LutBit { site, .. } | ConfigResource::FfInit { site } => {
-                            site_used[site.index()]
-                        }
-                    },
-                )
-                .collect()
-        })
+    /// The scan is computed once per routed design and cached as a mask of
+    /// one bit per configuration bit, so repeated campaigns on the same
+    /// design (sweeps, streaming benches), its static analysis and its
+    /// [`RoutedDesign::bit_report`] reuse it for free.
+    pub fn design_related_bits(&self, device: &Device) -> impl Iterator<Item = usize> + '_ {
+        self.design_bits
+            .get_or_init(|| {
+                let layout = device.config_layout();
+                let mut mask = Bitstream::zeros(layout.bit_count());
+                for bit in 0..layout.bit_count() {
+                    let resource = layout.resource_at(bit).expect("bit in range");
+                    if self.resource_is_design_related(device, &resource) {
+                        mask.set(bit, true);
+                    }
+                }
+                mask
+            })
+            .iter_ones()
     }
 
     /// Generates the configuration bitstream for this placed-and-routed design.
@@ -300,28 +400,8 @@ impl RoutedDesign {
         placement: Placement,
         routes: HashMap<NetId, RouteTree>,
     ) -> RoutedDesign {
-        let mut node_net = HashMap::new();
-        let mut pip_net = HashMap::new();
-        for (&net, tree) in &routes {
-            for &node in &tree.nodes {
-                node_net.insert(node, net);
-            }
-            for &pip in &tree.pips {
-                pip_net.insert(pip, net);
-            }
-        }
-
         let bitstream = RoutedDesign::generate_bitstream(device, netlist, &placement, &routes);
-
-        RoutedDesign {
-            netlist: netlist.clone(),
-            placement,
-            routes,
-            bitstream,
-            node_net,
-            pip_net,
-            design_bits: std::sync::OnceLock::new(),
-        }
+        RoutedDesign::from_parts(netlist.clone(), placement, routes, bitstream)
     }
 
     /// Rebuilds the database from persisted parts — netlist, placement,
@@ -336,11 +416,17 @@ impl RoutedDesign {
         routes: HashMap<NetId, RouteTree>,
         bitstream: Bitstream,
     ) -> RoutedDesign {
-        let mut node_net = HashMap::new();
+        let node_count = routes
+            .values()
+            .flat_map(|tree| &tree.nodes)
+            .map(|node| node.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut node_net = vec![None; node_count];
         let mut pip_net = HashMap::new();
         for (&net, tree) in &routes {
             for &node in &tree.nodes {
-                node_net.insert(node, net);
+                node_net[node.index()] = Some(net);
             }
             for &pip in &tree.pips {
                 pip_net.insert(pip, net);
@@ -353,7 +439,8 @@ impl RoutedDesign {
             bitstream,
             node_net,
             pip_net,
-            design_bits: std::sync::OnceLock::new(),
+            design_bits: OnceLock::new(),
+            tree_index: OnceLock::new(),
         }
     }
 }
@@ -419,6 +506,93 @@ mod tests {
             routed.net_of_node(NodeId::from_index(usize::MAX as u32 as usize - 1)),
             None
         );
+    }
+
+    /// Opens every PIP of every net one at a time, which builds the tree
+    /// index and so checks every tree is an arborescence.
+    fn open_every_pip(device: &Device, routed: &RoutedDesign) -> Vec<Vec<(NodeId, CellId, usize)>> {
+        let mut nets: Vec<_> = routed.routes().collect();
+        nets.sort_by_key(|&(net, _)| net);
+        nets.iter()
+            .flat_map(|&(net, tree)| {
+                tree.pips
+                    .iter()
+                    .map(move |&pip| routed.opened_sinks(device, net, &[pip]).copied().collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tree_index_accepts_router_output_and_rebuilt_parts() {
+        let device = Device::small(6, 6);
+        let netlist = mapped(&moving_sum(3, 4, 6));
+        let routed = place_and_route(&device, &netlist, 3).unwrap();
+        let opened = open_every_pip(&device, &routed);
+        assert!(opened.iter().any(|sinks| !sinks.is_empty()));
+
+        let rebuilt = RoutedDesign::from_parts(
+            routed.netlist().clone(),
+            routed.placement().clone(),
+            routed
+                .routes()
+                .map(|(net, tree)| (net, tree.clone()))
+                .collect(),
+            routed.bitstream().clone(),
+        );
+        assert_eq!(open_every_pip(&device, &rebuilt), opened);
+
+        // Opening a net's first PIP, which leaves its source, cuts off the
+        // subtree it drives; opening every PIP cuts off every sink.
+        for (net, tree) in routed.routes() {
+            let all: Vec<_> = routed.opened_sinks(&device, net, &tree.pips).collect();
+            assert_eq!(all.len(), tree.sinks.len(), "{net}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "net n3: route tree is not an arborescence: node")]
+    fn tree_index_rejects_a_node_with_two_drivers() {
+        let device = Device::small(5, 5);
+        let routed = place_and_route(&device, &mapped(&counter(4)), 7).unwrap();
+        // A diamond in the routing graph: source -> a -> sink and
+        // source -> b -> sink, so the sink node has two drivers.
+        let diamond = (0..device.node_count())
+            .map(NodeId::from_index)
+            .find_map(|sink| {
+                let into = device.pips_to(sink);
+                into.iter().enumerate().find_map(|(i, &p1)| {
+                    into[i + 1..].iter().find_map(|&p2| {
+                        let (a, b) = (device.pip(p1).src, device.pip(p2).src);
+                        if a == b {
+                            return None;
+                        }
+                        device.pips_to(a).iter().find_map(|&q1| {
+                            let source = device.pip(q1).src;
+                            let q2 = device
+                                .pips_to(b)
+                                .iter()
+                                .copied()
+                                .find(|&q2| device.pip(q2).src == source)?;
+                            Some(RouteTree {
+                                source,
+                                nodes: vec![source, a, b, sink],
+                                pips: vec![q1, q2, p1, p2],
+                                sinks: Vec::new(),
+                            })
+                        })
+                    })
+                })
+            })
+            .expect("the routing graph has a diamond");
+        let net = NetId::from_index(3);
+        let broken = RoutedDesign::from_parts(
+            routed.netlist().clone(),
+            routed.placement().clone(),
+            HashMap::from([(net, diamond)]),
+            routed.bitstream().clone(),
+        );
+        let first = broken.route_of(net).unwrap().pips[0];
+        let _ = broken.opened_sinks(&device, net, &[first]).count();
     }
 
     #[test]

@@ -645,11 +645,18 @@ mod tests {
         );
         // Hash-map iteration order must not leak into the bytes.
         assert_eq!(decoded.to_bytes(), bytes);
-        // The fault-list population derived from the decoded design matches.
-        assert_eq!(
-            decoded.design_related_bits(&device),
-            routed.design_related_bits(&device)
-        );
+        // The fault-list population derived from the decoded design matches,
+        // and so does every open: the decoded trees index as arborescences.
+        assert!(decoded
+            .design_related_bits(&device)
+            .eq(routed.design_related_bits(&device)));
+        for (net, tree) in routed.routes() {
+            for &pip in &tree.pips {
+                assert!(decoded
+                    .opened_sinks(&device, net, &[pip])
+                    .eq(routed.opened_sinks(&device, net, &[pip])));
+            }
+        }
     }
 
     #[test]
