@@ -7,22 +7,24 @@
 //!   [`Lookahead`](crate::Lookahead) table and confined to the net's
 //!   bounding box (plus [`RouterOptions::bbox_margin`] tiles of slack); a
 //!   sink that cannot be reached inside the box deterministically retries
-//!   unconfined. All search state lives in per-worker
-//!   generation-stamped scratch arrays indexed by node id, so routing a net
-//!   allocates nothing.
+//!   unconfined. All search state lives in generation-stamped scratch
+//!   arrays indexed by node id, so routing a net allocates nothing.
 //! * **Snapshot-commit negotiation.** Within each PathFinder iteration the
 //!   to-be-rerouted nets are swept in net order and greedily packed into
-//!   *spatially disjoint* chunks: a net joins the current chunk only if its
-//!   search rectangle intersects none already admitted. At each flush the
-//!   chunk's nets are ripped up, routed against the *frozen* occupancy and
-//!   history costs (in parallel across `std::thread::scope` workers), and
-//!   committed in net order at the barrier. Disjoint rectangles mean
-//!   disjoint node sets, so the chunked result is identical to a pure
-//!   net-by-net (Gauss–Seidel) sweep for *every* chunk size — and
-//!   [`RouterOptions::chunk_size`] and the worker count are pure
-//!   performance knobs that never change the answer. The sequential router
-//!   (`TMR_ROUTE=seq`) is kept as the differential oracle and must produce
-//!   byte-identical [`RouteTree`]s.
+//!   *spatially disjoint* chunks of at most `CHUNK_SIZE` nets: a net joins
+//!   the current chunk only if its search rectangle intersects none already
+//!   admitted. At each flush the chunk's nets are all ripped up first, then
+//!   routed one after another against the occupancy snapshot taken after
+//!   the rip-up, and committed in net order. This is *not* a net-by-net
+//!   (Gauss–Seidel) sweep, where each net is ripped up, routed and
+//!   committed before the next is examined: here a later chunk-mate's
+//!   congestion check and partial rip-up see the chunk's earlier nets still
+//!   on their old routes, its own rip-up is visible to the nets routed
+//!   before it, and an unconfined retry can cross a chunk-mate's rectangle
+//!   unseen. The two schedules route the paper variant `tmr_p1`
+//!   differently. The chunked schedule is kept because every pinned route,
+//!   bitstream and stored artifact was produced under it; changing it
+//!   changes results and needs an implementation-version bump.
 //! * **Congestion pricing.** Node costs follow the classic PathFinder
 //!   schedule: a present-congestion factor that grows gently each iteration
 //!   plus an accumulated history cost on every overused node.
@@ -56,17 +58,11 @@ pub struct RouterOptions {
     /// Search-confinement slack: tiles added around each net's terminal
     /// bounding box before the A* expansion is clipped to it.
     pub bbox_margin: u16,
-    /// Worker threads for the parallel negotiation. `0` resolves the
-    /// `TMR_ROUTE` environment variable at each [`route`] call: `seq` → 1
-    /// (the sequential differential oracle), a number → that many workers,
-    /// unset → the machine's available parallelism. Any other value falls
-    /// back to 1.
-    pub workers: usize,
-    /// Nets per snapshot-commit chunk. The chunk size — not the worker
-    /// count — defines the negotiation schedule, so results are identical
-    /// for any `workers` value.
-    pub chunk_size: usize,
 }
+
+/// Maximum nets per snapshot-commit chunk. Part of the negotiation schedule:
+/// changing it changes routes.
+const CHUNK_SIZE: usize = 16;
 
 impl Default for RouterOptions {
     fn default() -> Self {
@@ -83,27 +79,7 @@ impl Default for RouterOptions {
             history_increment: 1.5,
             astar_weight: 2.25,
             bbox_margin: 3,
-            workers: 0,
-            chunk_size: 16,
         }
-    }
-}
-
-/// Resolves the effective worker count for `options` (see
-/// [`RouterOptions::workers`]).
-pub fn resolved_workers(options: &RouterOptions) -> usize {
-    if options.workers > 0 {
-        return options.workers;
-    }
-    match std::env::var("TMR_ROUTE") {
-        Ok(value) if value.trim() == "seq" => 1,
-        Ok(value) => value
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 
@@ -226,8 +202,7 @@ pub struct RouteIteration {
     pub overused_nodes: usize,
     /// Present-congestion penalty factor used during this iteration.
     pub present_factor: f64,
-    /// A* queue pops across every net routed this iteration. Deterministic:
-    /// independent of the worker count.
+    /// A* queue pops across every net routed this iteration.
     pub nodes_expanded: u64,
     /// Wall-clock time of this iteration in nanoseconds.
     pub elapsed_ns: u64,
@@ -238,9 +213,6 @@ pub struct RouteIteration {
 pub struct RouteTelemetry {
     /// One entry per negotiation iteration, in order.
     pub iterations: Vec<RouteIteration>,
-    /// Worker threads the negotiation ran with (after `TMR_ROUTE`
-    /// resolution).
-    pub workers: usize,
 }
 
 impl RouteTelemetry {
@@ -303,7 +275,7 @@ pub fn route_with_telemetry(
     (result, telemetry)
 }
 
-/// Read-only per-call routing context shared by all workers.
+/// Read-only per-call routing context.
 struct RouteContext<'a> {
     device: &'a Device,
     netlist: &'a Netlist,
@@ -330,8 +302,8 @@ struct Edge {
 /// into a single 12-byte record so each neighbour touch costs one cache line
 /// instead of five (`cost_static`, `occupancy`, `is_in_pin`, `tile_x`,
 /// `tile_y` used to live in separate arrays). `cost_static` (base + history)
-/// is refreshed once per iteration and `occupancy` at chunk barriers — both
-/// on the main thread, so workers always read a frozen snapshot.
+/// is refreshed once per iteration and `occupancy` at chunk rip-up and
+/// commit, so every net of a chunk reads the same snapshot.
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
     /// Congestion-free cost of the node this iteration: base + history.
@@ -353,7 +325,7 @@ struct SearchRec {
     prev_pip: u32,
 }
 
-/// Per-worker reusable search state, all indexed by node id and invalidated
+/// Reusable search state, all indexed by node id and invalidated
 /// in O(1) with generation stamps.
 struct RouterScratch {
     search: Vec<SearchRec>,
@@ -393,10 +365,6 @@ fn route_inner(
     options: &RouterOptions,
     telemetry: &mut RouteTelemetry,
 ) -> Result<HashMap<NetId, RouteTree>, PnrError> {
-    let workers = resolved_workers(options);
-    let chunk_size = options.chunk_size.max(1);
-    telemetry.workers = workers;
-
     let node_count = device.node_count();
     let lookahead = Lookahead::for_device(device);
     let mut base = vec![0f32; node_count];
@@ -442,21 +410,15 @@ fn route_inner(
             .attr("lookahead_entries", lookahead.entries())
             .attr("astar_weight", options.astar_weight)
             .attr("bbox_margin", u32::from(options.bbox_margin));
-        tmr_trace::event("route.parallel")
-            .attr("workers", workers)
-            .attr("chunk_size", chunk_size)
-            .attr("nets", nets.len());
     }
 
     let mut history = vec![0f32; node_count];
-    let mut scratches: Vec<RouterScratch> = (0..workers.max(1))
-        .map(|_| RouterScratch::new(node_count))
-        .collect();
+    let mut scratch = RouterScratch::new(node_count);
 
     let mut trees: Vec<Option<RouteTree>> = (0..nets.len()).map(|_| None).collect();
     // Per-net rip-up counts: each rip-up widens that net's search margin, so
     // nets locked in a congestion fight progressively escape their bounding
-    // boxes. Part of the negotiation schedule — worker-independent.
+    // boxes. Part of the negotiation schedule.
     let mut rip_counts: Vec<u16> = vec![0; nets.len()];
     let mut present_factor = options.present_factor;
 
@@ -481,15 +443,12 @@ fn route_inner(
         // ones that need rerouting into *spatially disjoint* chunks: a net
         // joins the open chunk only if its search rectangle overlaps none of
         // the chunk's. Disjoint rectangles touch disjoint routing nodes, so
-        // the chunk's nets cannot contend — routing them against the frozen
-        // snapshot behaves like routing them one at a time, which keeps the
-        // convergence of sequential negotiation while exposing the chunk to
-        // the worker pool. A conflicting net flushes the chunk first, so
-        // contending nets always see each other's committed routes. The
-        // schedule depends only on committed state and `chunk_size` — never
-        // on the worker count.
-        let mut chunk: Vec<u32> = Vec::with_capacity(chunk_size);
-        let mut rects: Vec<TileBounds> = Vec::with_capacity(chunk_size);
+        // confined searches of the chunk's nets cannot contend. A conflicting
+        // net flushes the chunk first, so nets with overlapping rectangles
+        // always see each other's committed routes. The schedule depends
+        // only on committed state.
+        let mut chunk: Vec<u32> = Vec::with_capacity(CHUNK_SIZE);
+        let mut rects: Vec<TileBounds> = Vec::with_capacity(CHUNK_SIZE);
         let mut index = 0u32;
         while (index as usize) < nets.len() {
             // The live congestion check: a net displaced by an earlier flush
@@ -517,7 +476,7 @@ fn route_inner(
                 ctx.cols,
                 ctx.rows,
             );
-            if chunk.len() >= chunk_size || rects.iter().any(|r| r.intersects(&rect)) {
+            if chunk.len() >= CHUNK_SIZE || rects.iter().any(|r| r.intersects(&rect)) {
                 flush_chunk(
                     &ctx,
                     &nets,
@@ -527,8 +486,7 @@ fn route_inner(
                     &mut trees,
                     present_f32,
                     weight,
-                    workers,
-                    &mut scratches,
+                    &mut scratch,
                     &mut rerouted,
                     &mut ripped_up,
                 )?;
@@ -550,18 +508,14 @@ fn route_inner(
                 &mut trees,
                 present_f32,
                 weight,
-                workers,
-                &mut scratches,
+                &mut scratch,
                 &mut rerouted,
                 &mut ripped_up,
             )?;
         }
 
         let overused: usize = states.iter().filter(|s| s.occupancy > 1).count();
-        let nodes_expanded: u64 = scratches
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.nodes_expanded))
-            .sum();
+        let nodes_expanded = std::mem::take(&mut scratch.nodes_expanded);
         telemetry.iterations.push(RouteIteration {
             iteration,
             ripped_up,
@@ -612,10 +566,10 @@ fn route_inner(
 }
 
 /// Rips up, routes, and commits one spatially disjoint chunk of nets.
-/// Occupancy is frozen for the duration of the chunk: every net — on any
-/// worker — routes against the same congestion snapshot, and the results are
-/// committed in net order at the barrier (the first failure in net order
-/// wins, keeping errors deterministic too).
+/// Occupancy is frozen for the duration of the chunk: every net routes
+/// against the same congestion snapshot, and the results are committed in
+/// net order (the first failure in net order wins, keeping errors
+/// deterministic too).
 #[allow(clippy::too_many_arguments)]
 fn flush_chunk(
     ctx: &RouteContext<'_>,
@@ -626,8 +580,7 @@ fn flush_chunk(
     trees: &mut [Option<RouteTree>],
     present_factor: f32,
     weight: f32,
-    workers: usize,
-    scratches: &mut [RouterScratch],
+    scratch: &mut RouterScratch,
     rerouted: &mut usize,
     ripped_up: &mut usize,
 ) -> Result<(), PnrError> {
@@ -663,21 +616,25 @@ fn flush_chunk(
         }
     }
 
-    let results = route_chunk(
-        ctx,
-        nets,
-        chunk,
-        starts,
-        rip_counts,
-        states,
-        present_factor,
-        weight,
-        workers,
-        scratches,
-    );
+    // Every net routes before any commits, so all of them see the snapshot.
+    let routed = chunk
+        .iter()
+        .zip(starts)
+        .map(|(&index, start)| {
+            route_net(
+                ctx,
+                &nets[index as usize],
+                start,
+                rip_counts[index as usize],
+                states,
+                present_factor,
+                weight,
+                scratch,
+            )
+        })
+        .collect::<Result<Vec<RouteTree>, PnrError>>()?;
 
-    for (&index, result) in chunk.iter().zip(results) {
-        let tree = result?;
+    for (&index, tree) in chunk.iter().zip(routed) {
         for node in &tree.nodes {
             states[node.index()].occupancy += 1;
         }
@@ -690,7 +647,7 @@ fn flush_chunk(
 /// every overused node. The pruned tree (sinks cleared — [`route_net`]
 /// re-collects them) becomes the search seed for the net's reroute, so only
 /// the congested branches are searched again. Depends only on committed
-/// negotiation state, so it is worker-independent.
+/// negotiation state.
 fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTree {
     // Each non-source tree node is entered by exactly one tree PIP; index
     // them by destination for the backwalks below.
@@ -752,92 +709,6 @@ fn prune_tree(device: &Device, old: &RouteTree, states: &[NodeState]) -> RouteTr
             .collect(),
         sinks: Vec::new(),
     }
-}
-
-/// Routes one chunk of ripped-up nets against the frozen congestion
-/// snapshot, inline when `workers == 1` and on scoped threads otherwise.
-/// Results come back in chunk order either way.
-#[allow(clippy::too_many_arguments)]
-fn route_chunk(
-    ctx: &RouteContext<'_>,
-    nets: &[NetTerminals],
-    chunk: &[u32],
-    starts: Vec<RouteTree>,
-    rip_counts: &[u16],
-    states: &[NodeState],
-    present_factor: f32,
-    weight: f32,
-    workers: usize,
-    scratches: &mut [RouterScratch],
-) -> Vec<Result<RouteTree, PnrError>> {
-    if workers <= 1 || chunk.len() <= 1 {
-        let scratch = &mut scratches[0];
-        return chunk
-            .iter()
-            .zip(starts)
-            .map(|(&index, start)| {
-                route_net(
-                    ctx,
-                    &nets[index as usize],
-                    start,
-                    rip_counts[index as usize],
-                    states,
-                    present_factor,
-                    weight,
-                    scratch,
-                )
-            })
-            .collect();
-    }
-
-    let threads = workers.min(chunk.len());
-    // Strided assignment, partitioned up front so each worker owns its
-    // starting trees: worker `w` gets chunk positions `w, w + threads, …`.
-    let mut assignments: Vec<Vec<(usize, u32, RouteTree)>> =
-        (0..threads).map(|_| Vec::new()).collect();
-    for (position, (&index, start)) in chunk.iter().zip(starts).enumerate() {
-        assignments[position % threads].push((position, index, start));
-    }
-    let mut slots: Vec<Option<Result<RouteTree, PnrError>>> =
-        (0..chunk.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = scratches
-            .iter_mut()
-            .take(threads)
-            .zip(assignments)
-            .map(|(scratch, assignment)| {
-                scope.spawn(move || {
-                    assignment
-                        .into_iter()
-                        .map(|(position, index, start)| {
-                            (
-                                position,
-                                route_net(
-                                    ctx,
-                                    &nets[index as usize],
-                                    start,
-                                    rip_counts[index as usize],
-                                    states,
-                                    present_factor,
-                                    weight,
-                                    scratch,
-                                ),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (position, result) in handle.join().expect("router worker panicked") {
-                slots[position] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk slot routed"))
-        .collect()
 }
 
 /// Gathers source and sink routing nodes for every net that must be routed:
@@ -926,7 +797,7 @@ fn route_net(
     // near-admissible floor, because a net locked in a congestion fight needs
     // the true cheapest detour, not a beeline — sloppy paths there feed the
     // very oscillation PathFinder is trying to price away. Deterministic:
-    // rip counts are committed negotiation state, independent of workers.
+    // rip counts are committed negotiation state.
     const WEIGHT_GRACE: f32 = 4.0;
     const WEIGHT_SLOPE: f32 = 0.25;
     const WEIGHT_FLOOR: f32 = 1.25;
@@ -1178,7 +1049,6 @@ mod tests {
         assert!(result.is_ok());
         assert!(telemetry.converged());
         assert!(telemetry.iteration_count() >= 1);
-        assert!(telemetry.workers >= 1);
         let first = &telemetry.iterations[0];
         assert_eq!((first.iteration, first.ripped_up), (1, 0));
         assert!(first.rerouted > 0, "every net is routed in iteration 1");
@@ -1196,36 +1066,6 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (net, tree) in &a {
             assert_eq!(tree.pips, b[net].pips);
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_routes() {
-        let device = Device::small(6, 6);
-        let netlist = techmap(&optimize(&lower(&counter(5)).unwrap())).unwrap();
-        let placement = place(&device, &netlist, &PlacerOptions::default()).unwrap();
-        let reference = route(
-            &device,
-            &netlist,
-            &placement,
-            &RouterOptions {
-                workers: 1,
-                ..RouterOptions::default()
-            },
-        )
-        .unwrap();
-        for workers in [2, 3, 8] {
-            let parallel = route(
-                &device,
-                &netlist,
-                &placement,
-                &RouterOptions {
-                    workers,
-                    ..RouterOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(reference, parallel, "workers={workers} diverged");
         }
     }
 }

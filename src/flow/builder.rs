@@ -183,10 +183,9 @@ pub struct Flow {
     seed: u64,
     shards: Option<usize>,
     /// Set on [`Sweep::run`](super::Sweep::run)'s variant flows, which
-    /// already run one thread each: their stages then route on one worker
-    /// and run campaigns on one shard (unless a shard count was set),
-    /// instead of nesting a per-core thread pool inside every variant
-    /// thread. Results are identical either way.
+    /// already run one thread each: their campaigns then run on one shard
+    /// (unless a shard count was set) instead of nesting a per-core thread
+    /// pool inside every variant thread. Results are identical either way.
     pub(super) in_sweep: bool,
     cache: PersistentCache,
     /// Fingerprint of `(design, tmr config)`: since every stage is a
@@ -309,15 +308,11 @@ impl Flow {
             || {
                 let synthesized = self.synthesized()?;
                 let placed = self.placed()?;
-                let options = RouterOptions {
-                    workers: if self.in_sweep { 1 } else { 0 },
-                    ..RouterOptions::default()
-                };
                 let (routes, telemetry) = route_with_telemetry(
                     &self.device,
                     synthesized.netlist(),
                     placed.placement(),
-                    &options,
+                    &RouterOptions::default(),
                 );
                 let routes = routes?;
                 if tmr_trace::enabled() {
@@ -518,7 +513,7 @@ impl Flow {
     fn compiled_for(&self, campaign: &CampaignBuilder) -> Result<Option<Arc<Compiled>>, Error> {
         match campaign.backend_hint().unwrap_or_else(SimBackend::from_env) {
             SimBackend::Interpreter => Ok(None),
-            SimBackend::Compiled | SimBackend::CompiledFull => Ok(Some(self.compiled()?)),
+            SimBackend::Compiled => Ok(Some(self.compiled()?)),
         }
     }
 

@@ -354,10 +354,10 @@ impl Sweep {
     /// threads — each variant's place-and-route is independent of the
     /// others' — and the results are merged back in variant order, so the
     /// report (and any error) is identical to a sequential run. Since the
-    /// variants already fill the cores, each flow routes on one worker and
-    /// runs its campaign on one shard (unless [`shards`](Self::shards) is
-    /// set) rather than spawning a thread pool per variant; the results are
-    /// the same for any worker or shard count.
+    /// variants already fill the cores, each flow runs its campaign on one
+    /// shard (unless [`shards`](Self::shards) is set) rather than spawning a
+    /// thread pool per variant; the results are the same for any shard
+    /// count.
     ///
     /// # Errors
     ///

@@ -6,10 +6,10 @@
 //! convergence shows up here as an iteration- or expansion-count regression
 //! long before it becomes a routing failure. The pins only ever move down.
 
-use tmr_fpga::arch::Device;
+use tmr_fpga::arch::{Bitstream, Device};
 use tmr_fpga::designs::FirFilter;
 use tmr_fpga::flow::Sweep;
-use tmr_fpga::pnr::{route_with_telemetry, RouterOptions};
+use tmr_fpga::pnr::{route_with_telemetry, RoutedDesign, RouterOptions};
 
 /// Measured convergence today (range-limited annealing placement, A*
 /// lookahead router with the contention-adaptive heuristic weight):
@@ -99,5 +99,79 @@ fn paper_variants_route_within_the_iteration_budget() {
         nodes_expanded <= NODES_EXPANDED_BUDGET,
         "the five variants expanded {nodes_expanded} nodes (budget {NODES_EXPANDED_BUDGET}) \
          — convergence regressed"
+    );
+}
+
+/// The exact routing of each paper variant on the 24x24 device: variant,
+/// negotiation iterations, A* nodes expanded and the FNV-1a fingerprint of
+/// the assembled bitstream.
+///
+/// Changing any of these values changes the routes every store entry and
+/// pinned table was produced from, so it must bump
+/// `IMPLEMENTATION_VERSION` in `src/flow/builder.rs` — otherwise a disk
+/// store keeps serving routes the current router would not produce.
+const PINNED_ROUTES: [(&str, usize, u64, u64); 5] = [
+    ("standard", 5, 8_997, 0xc9e0_c19a_5e66_049d),
+    ("tmr_p1", 9, 99_759, 0xdb3c_9a62_a89c_4423),
+    ("tmr_p2", 9, 74_154, 0x710a_cdaf_2ce4_1232),
+    ("tmr_p3", 10, 55_760, 0x6600_ddb3_2728_3c86),
+    ("tmr_p3_nv", 6, 33_220, 0x5e45_f09c_acf3_c542),
+];
+
+/// FNV-1a over the bitstream's length and little-endian words.
+fn bitstream_fingerprint(bitstream: &Bitstream) -> u64 {
+    let bytes = (bitstream.len() as u64)
+        .to_le_bytes()
+        .into_iter()
+        .chain(bitstream.words().iter().flat_map(|word| word.to_le_bytes()));
+    bytes.fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn paper_variants_route_exactly_as_pinned() {
+    let base = FirFilter::small_filter().to_design();
+    let device = Device::small(24, 24);
+    let (device, flows) = Sweep::paper(&base)
+        .on_device(&device)
+        .flows()
+        .expect("the paper variants implement on the 24x24 device");
+
+    let routed: Vec<(String, usize, u64, u64)> = flows
+        .into_iter()
+        .map(|(name, flow)| {
+            let synthesized = flow.synthesized().expect("synthesis succeeds");
+            let placed = flow.placed().expect("placement succeeds");
+            let (routes, telemetry) = route_with_telemetry(
+                &device,
+                synthesized.netlist(),
+                placed.placement(),
+                &RouterOptions::default(),
+            );
+            let routes = routes.unwrap_or_else(|error| panic!("variant {name}: {error}"));
+            let design = RoutedDesign::assemble(
+                &device,
+                synthesized.netlist(),
+                placed.placement().clone(),
+                routes,
+            );
+            (
+                name,
+                telemetry.iteration_count(),
+                telemetry.total_nodes_expanded(),
+                bitstream_fingerprint(design.bitstream()),
+            )
+        })
+        .collect();
+    let pinned: Vec<(String, usize, u64, u64)> = PINNED_ROUTES
+        .iter()
+        .map(|&(name, iterations, expanded, fingerprint)| {
+            (name.to_string(), iterations, expanded, fingerprint)
+        })
+        .collect();
+    assert_eq!(
+        routed, pinned,
+        "routes changed: bump IMPLEMENTATION_VERSION"
     );
 }
