@@ -1,16 +1,28 @@
 //! Wirelength-driven simulated-annealing placement.
 //!
 //! The annealer's cost function is the classic half-perimeter wirelength
-//! (HPWL), maintained *incrementally*: every routable net carries a
-//! [`NetBox`] — its bounding box plus the number of member pins sitting on
-//! each of the four boundaries — so a move only touches the boxes of the
-//! nets incident to the swapped cells. A boundary whose pin count drops to
-//! zero forces a rescan of that net's members; everything else is O(1) per
-//! incident net. All deltas are exact integers, so the accept/reject
-//! decisions (and therefore the RNG stream and the final placement) are
-//! identical to a from-scratch cost evaluation — pinned per move by a
-//! `debug_assertions` cross-check against [`placement_wirelength`]'s full
-//! recompute.
+//! (HPWL), maintained *incrementally*. Every routable net carries a
+//! [`NetBox`]: its bounding box plus the number of member pins on each of
+//! its four boundaries. Every cell carries its incidence list: the
+//! `(net, pin count)` pairs of the nets it touches, sorted by net.
+//!
+//! A move swaps a cell with the occupant of the target site, or moves it
+//! onto a free site. The nets to update are the merge-join of the two
+//! cells' incidence lists. On a net where the moved cell has `ma` pins and
+//! the occupant `mb`, the swap moves `|ma − mb|` pins from one tile to the
+//! other, and nothing at all when `ma == mb`. The box is updated per axis,
+//! only on an axis whose coordinate changed: the pins are added at the new
+//! coordinate first, then removed from the old one, and the net's members
+//! are rescanned only when a boundary count reaches zero. All deltas are
+//! exact integers, so the accept/reject decisions (and therefore the RNG
+//! stream and the final placement) are identical to a from-scratch cost
+//! evaluation. Under `debug_assertions` every box updated by an evaluated
+//! move is checked against a rebuild from scratch.
+//!
+//! The annealing loop does no hashing and no device or netlist lookups: the
+//! occupancy is a dense vector of the cell on every site (the one
+//! [`Placement::cell_at`] reads afterwards), and the tile of every site, the
+//! tile of every cell and the site kind of every cell are precomputed.
 //!
 //! Moves are range-limited, as in VPR: a LUT or FF move draws its target
 //! tile from a window of ±`rlim` tiles around the cell's current tile, then
@@ -24,9 +36,12 @@
 use crate::PnrError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use tmr_arch::{Device, SiteId, SiteKind, TileCoord};
 use tmr_netlist::{CellId, CellKind, NetDriver, NetId, NetSink, Netlist};
+
+/// Occupancy entry of a site no cell is placed on.
+const EMPTY: u32 = u32::MAX;
 
 /// Placement options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,21 +66,22 @@ impl Default for PlacerOptions {
 #[derive(Debug, Clone)]
 pub struct Placement {
     site_of_cell: Vec<SiteId>,
-    cell_at_site: HashMap<SiteId, CellId>,
+    /// The index of the cell on each site, [`EMPTY`] for a free site.
+    cell_at_site: Vec<u32>,
     wirelength: u64,
 }
 
 impl Placement {
     /// Rebuilds a placement from the per-cell site assignment and the
     /// recorded wirelength — the inverse of iterating [`Placement::iter`],
-    /// used by the `tmr-store` codec. The site-occupancy map is rebuilt from
+    /// used by the `tmr-store` codec. The site occupancy is rebuilt from
     /// the assignment.
     pub fn from_parts(site_of_cell: Vec<SiteId>, wirelength: u64) -> Self {
-        let cell_at_site = site_of_cell
-            .iter()
-            .enumerate()
-            .map(|(i, &site)| (site, CellId::from_index(i)))
-            .collect();
+        let sites = site_of_cell.iter().map(|site| site.index() + 1).max();
+        let mut cell_at_site = vec![EMPTY; sites.unwrap_or(0)];
+        for (cell, site) in site_of_cell.iter().enumerate() {
+            cell_at_site[site.index()] = cell as u32;
+        }
         Self {
             site_of_cell,
             cell_at_site,
@@ -82,9 +98,12 @@ impl Placement {
         self.site_of_cell[cell.index()]
     }
 
-    /// The cell placed on a site, if any.
+    /// The cell placed on a site, if any (`None` for a site out of range).
     pub fn cell_at(&self, site: SiteId) -> Option<CellId> {
-        self.cell_at_site.get(&site).copied()
+        match self.cell_at_site.get(site.index()) {
+            Some(&cell) if cell != EMPTY => Some(CellId::from_index(cell as usize)),
+            _ => None,
+        }
     }
 
     /// Iterates over (cell, site) pairs.
@@ -171,105 +190,136 @@ fn net_hpwl(
     u64::from(max_x - min_x) + u64::from(max_y - min_y)
 }
 
-/// One net's incrementally maintained bounding box: the box itself plus how
-/// many member pins sit on each boundary, so boundary-preserving moves never
-/// rescan the net.
+/// One axis of a [`NetBox`]: the extent of the member pins' coordinates
+/// and how many pins sit on each end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct NetBox {
-    min_x: u16,
-    max_x: u16,
-    min_y: u16,
-    max_y: u16,
-    on_min_x: u32,
-    on_max_x: u32,
-    on_min_y: u32,
-    on_max_y: u32,
+struct Span {
+    min: u16,
+    max: u16,
+    on_min: u32,
+    on_max: u32,
 }
 
-impl NetBox {
-    fn empty() -> Self {
-        Self {
-            min_x: u16::MAX,
-            max_x: 0,
-            min_y: u16::MAX,
-            max_y: 0,
-            on_min_x: 0,
-            on_max_x: 0,
-            on_min_y: 0,
-            on_max_y: 0,
+impl Span {
+    const EMPTY: Self = Self {
+        min: u16::MAX,
+        max: 0,
+        on_min: 0,
+        on_max: 0,
+    };
+
+    fn len(&self) -> u64 {
+        u64::from(self.max - self.min)
+    }
+
+    /// Adds `k` pins at coordinate `at`, extending the span if needed.
+    fn add(&mut self, at: u16, k: u32) {
+        if at < self.min {
+            self.min = at;
+            self.on_min = k;
+        } else if at == self.min {
+            self.on_min += k;
+        }
+        if at > self.max {
+            self.max = at;
+            self.on_max = k;
+        } else if at == self.max {
+            self.on_max += k;
         }
     }
 
-    fn hpwl(&self) -> u64 {
-        u64::from(self.max_x - self.min_x) + u64::from(self.max_y - self.min_y)
-    }
-
-    /// Adds one member pin at `tile`, extending the box if needed.
-    fn add(&mut self, tile: TileCoord) {
-        if tile.x < self.min_x {
-            self.min_x = tile.x;
-            self.on_min_x = 1;
-        } else if tile.x == self.min_x {
-            self.on_min_x += 1;
-        }
-        if tile.x > self.max_x {
-            self.max_x = tile.x;
-            self.on_max_x = 1;
-        } else if tile.x == self.max_x {
-            self.on_max_x += 1;
-        }
-        if tile.y < self.min_y {
-            self.min_y = tile.y;
-            self.on_min_y = 1;
-        } else if tile.y == self.min_y {
-            self.on_min_y += 1;
-        }
-        if tile.y > self.max_y {
-            self.max_y = tile.y;
-            self.on_max_y = 1;
-        } else if tile.y == self.max_y {
-            self.on_max_y += 1;
-        }
-    }
-
-    /// Removes one member pin at `tile`. Returns `true` when a boundary lost
-    /// its last pin — the box may shrink and the caller must rescan.
-    fn remove(&mut self, tile: TileCoord) -> bool {
-        if tile.x == self.min_x {
-            if self.on_min_x == 1 {
+    /// Moves `k` of the pins at `from` to `to`: adds them at `to` first,
+    /// then removes them from `from`. Returns `true` when an end lost its
+    /// last pin — the span may shrink and the caller must rescan.
+    fn shift(&mut self, from: u16, to: u16, k: u32) -> bool {
+        self.add(to, k);
+        if from == self.min {
+            self.on_min -= k;
+            if self.on_min == 0 {
                 return true;
             }
-            self.on_min_x -= 1;
         }
-        if tile.x == self.max_x {
-            if self.on_max_x == 1 {
+        if from == self.max {
+            self.on_max -= k;
+            if self.on_max == 0 {
                 return true;
             }
-            self.on_max_x -= 1;
-        }
-        if tile.y == self.min_y {
-            if self.on_min_y == 1 {
-                return true;
-            }
-            self.on_min_y -= 1;
-        }
-        if tile.y == self.max_y {
-            if self.on_max_y == 1 {
-                return true;
-            }
-            self.on_max_y -= 1;
         }
         false
     }
 }
 
-/// Rescans a net's members and rebuilds its [`NetBox`] from scratch.
-fn compute_box(device: &Device, members: &[CellId], site_of_cell: &[SiteId]) -> NetBox {
-    let mut net_box = NetBox::empty();
+/// One net's incrementally maintained bounding box: the box itself plus how
+/// many member pins sit on each boundary, so boundary-preserving moves never
+/// rescan the net.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct NetBox {
+    x: Span,
+    y: Span,
+}
+
+impl NetBox {
+    const EMPTY: Self = Self {
+        x: Span::EMPTY,
+        y: Span::EMPTY,
+    };
+
+    fn hpwl(&self) -> u64 {
+        self.x.len() + self.y.len()
+    }
+
+    /// Adds one member pin at `tile`, extending the box if needed.
+    fn add(&mut self, tile: TileCoord) {
+        self.x.add(tile.x, 1);
+        self.y.add(tile.y, 1);
+    }
+
+    /// Moves `k` of the member pins at tile `from` to tile `to`, on each
+    /// axis whose coordinate changed. Returns `true` when a boundary lost
+    /// its last pin and the caller must rescan.
+    fn shift(&mut self, from: TileCoord, to: TileCoord, k: u32) -> bool {
+        (from.x != to.x && self.x.shift(from.x, to.x, k))
+            || (from.y != to.y && self.y.shift(from.y, to.y, k))
+    }
+}
+
+/// Rescans a net's member pins and rebuilds its [`NetBox`] from scratch.
+fn compute_box(members: &[u32], cell_tile: &[TileCoord]) -> NetBox {
+    let mut net_box = NetBox::EMPTY;
     for &cell in members {
-        net_box.add(device.site(site_of_cell[cell.index()]).tile);
+        net_box.add(cell_tile[cell as usize]);
     }
     net_box
+}
+
+/// Merge-joins two incidence lists sorted by net: every net of either list
+/// with the pin count of each side (0 on the side not on the net).
+fn merge_incidence<'a>(
+    a: &'a [(u32, u32)],
+    b: &'a [(u32, u32)],
+) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let (net, ma, mb) = match (a.get(i), b.get(j)) {
+            (None, None) => return None,
+            (Some(&(net, ma)), None) => (net, ma, 0),
+            (None, Some(&(net, mb))) => (net, 0, mb),
+            (Some(&(na, ma)), Some(&(nb, mb))) => match na.cmp(&nb) {
+                Ordering::Less => (na, ma, 0),
+                Ordering::Greater => (nb, 0, mb),
+                Ordering::Equal => (na, ma, mb),
+            },
+        };
+        // Listed pin counts are at least 1, so a side advances exactly when
+        // it contributed this net.
+        if ma > 0 {
+            i += 1;
+        }
+        if mb > 0 {
+            j += 1;
+        }
+        Some((net, ma, mb))
+    })
 }
 
 /// The tile → sites index of one site kind, built once per [`place`] call
@@ -317,60 +367,78 @@ pub fn place(
     netlist: &Netlist,
     options: &PlacerOptions,
 ) -> Result<Placement, PnrError> {
-    // Partition cells by required site kind.
-    let mut cells_by_kind: HashMap<SiteKind, Vec<CellId>> = HashMap::new();
-    for (id, cell) in netlist.cells() {
-        let kind = required_site_kind(cell.kind).ok_or_else(|| PnrError::UnplaceableCell {
-            cell: cell.name.clone(),
-            kind: cell.kind.to_string(),
-        })?;
-        cells_by_kind.entry(kind).or_default().push(id);
-    }
+    let cell_kind = netlist
+        .cells()
+        .map(|(_, cell)| {
+            required_site_kind(cell.kind).ok_or_else(|| PnrError::UnplaceableCell {
+                cell: cell.name.clone(),
+                kind: cell.kind.to_string(),
+            })
+        })
+        .collect::<Result<Vec<SiteKind>, _>>()?;
+    let cell_count = cell_kind.len();
 
-    for (&kind, cells) in &cells_by_kind {
+    for kind in [SiteKind::Lut, SiteKind::Ff, SiteKind::Iob] {
+        let needed = cell_kind.iter().filter(|&&k| k == kind).count();
         let available = device.sites_of_kind(kind).len();
-        if cells.len() > available {
+        if needed > available {
             return Err(PnrError::NotEnoughSites {
                 kind: kind.to_string(),
-                needed: cells.len(),
+                needed,
                 available,
             });
         }
     }
 
-    // Initial placement: netlist order onto sites in device order. Cells
-    // created together by the lowering pass (e.g. the bits of one adder) are
-    // adjacent in the netlist, so this is already a reasonable start.
-    let mut site_of_cell = vec![SiteId::from_index(0); netlist.cell_count()];
-    let mut cell_at_site: HashMap<SiteId, CellId> = HashMap::new();
-    for (kind, cells) in &cells_by_kind {
-        let pool = device.sites_of_kind(*kind);
-        for (cell, &site) in cells.iter().zip(pool.iter()) {
-            site_of_cell[cell.index()] = site;
-            cell_at_site.insert(site, *cell);
-        }
+    // Initial placement: the cells of each kind, in netlist order, onto the
+    // sites of that kind in device order. Cells created together by the
+    // lowering pass (e.g. the bits of one adder) are adjacent in the
+    // netlist, so this is already a reasonable start.
+    let site_tile: Vec<TileCoord> = device.sites().map(|(_, site)| site.tile).collect();
+    let mut site_of_cell = Vec::with_capacity(cell_count);
+    let mut cell_tile = Vec::with_capacity(cell_count);
+    let mut cell_at_site = vec![EMPTY; device.site_count()];
+    let mut next_site = [0usize; 3];
+    for (cell, &kind) in cell_kind.iter().enumerate() {
+        let site = device.sites_of_kind(kind)[next_site[kind as usize]];
+        next_site[kind as usize] += 1;
+        site_of_cell.push(site);
+        cell_tile.push(site_tile[site.index()]);
+        cell_at_site[site.index()] = cell as u32;
     }
-
-    let cost_nets = routable_nets(netlist);
+    if cell_count == 0 {
+        return Ok(Placement {
+            site_of_cell,
+            cell_at_site,
+            wirelength: 0,
+        });
+    }
 
     // Per-net member pins (driver plus every cell-pin sink occurrence — the
     // exact multiset the HPWL definition scans) and the per-cell incidence
-    // lists, both indexed by position in `cost_nets`.
-    let mut members: Vec<Vec<CellId>> = Vec::with_capacity(cost_nets.len());
-    let mut nets_of_cell: Vec<Vec<u32>> = vec![Vec::new(); netlist.cell_count()];
+    // lists of (net, pin count) sorted by net, nets indexed by position in
+    // the routable-net list.
+    let cost_nets = routable_nets(netlist);
+    let mut members: Vec<Vec<u32>> = Vec::with_capacity(cost_nets.len());
+    let mut nets_of_cell: Vec<Vec<(u32, u32)>> = vec![Vec::new(); cell_count];
     for (index, &net_id) in cost_nets.iter().enumerate() {
+        let index = index as u32;
         let net = netlist.net(net_id);
+        let driver = match net.driver {
+            Some(NetDriver::Cell(cell)) => Some(cell),
+            _ => None,
+        };
+        let sinks = net.sinks.iter().filter_map(|sink| match sink {
+            NetSink::CellPin { cell, .. } => Some(*cell),
+            _ => None,
+        });
         let mut pins = Vec::new();
-        if let Some(NetDriver::Cell(c)) = net.driver {
-            pins.push(c);
-            nets_of_cell[c.index()].push(index as u32);
-        }
-        for sink in &net.sinks {
-            if let NetSink::CellPin { cell, .. } = sink {
-                pins.push(*cell);
-                if nets_of_cell[cell.index()].last() != Some(&(index as u32)) {
-                    nets_of_cell[cell.index()].push(index as u32);
-                }
+        for cell in driver.into_iter().chain(sinks) {
+            pins.push(cell.index() as u32);
+            let incidence = &mut nets_of_cell[cell.index()];
+            match incidence.last_mut() {
+                Some((net, count)) if *net == index => *count += 1,
+                _ => incidence.push((index, 1)),
             }
         }
         members.push(pins);
@@ -378,14 +446,13 @@ pub fn place(
 
     let mut boxes: Vec<NetBox> = members
         .iter()
-        .map(|pins| compute_box(device, pins, &site_of_cell))
+        .map(|pins| compute_box(pins, &cell_tile))
         .collect();
     let mut total_cost: u64 = boxes.iter().map(NetBox::hpwl).sum();
 
     // Simulated annealing.
-    let movable: Vec<CellId> = netlist.cells().map(|(id, _)| id).collect();
     let mut rng = StdRng::seed_from_u64(options.seed);
-    let total_moves = options.moves_per_cell * movable.len().max(1);
+    let total_moves = options.moves_per_cell * cell_count;
     let mut temperature = (total_cost as f64 / cost_nets.len().max(1) as f64).max(1.0);
     let temperature_steps = 64usize;
     let moves_per_step = (total_moves / temperature_steps).max(1);
@@ -394,123 +461,92 @@ pub fn place(
     let mut rlim = max_rlim;
     let lut_tiles = TileSites::new(device, SiteKind::Lut);
     let ff_tiles = TileSites::new(device, SiteKind::Ff);
+    let iob_sites = device.sites_of_kind(SiteKind::Iob);
 
-    // Reused per-move buffers: no allocation on the annealing hot path.
-    let mut affected: Vec<u32> = Vec::new();
-    let mut saved: Vec<(u32, NetBox)> = Vec::new();
+    // The updated boxes of the move under evaluation, reused across moves:
+    // no allocation on the annealing hot path.
+    let mut pending: Vec<(u32, NetBox)> = Vec::new();
 
     for _step in 0..temperature_steps {
         let window = rlim as u16;
         let mut accepted = 0usize;
         for _ in 0..moves_per_step {
-            let cell = movable[rng.gen_range(0..movable.len())];
-            let kind = required_site_kind(netlist.cell(cell).kind).expect("checked above");
-            let current = site_of_cell[cell.index()];
-            let current_tile = device.site(current).tile;
-            let target = match kind {
+            let cell = rng.gen_range(0..cell_count);
+            let current = site_of_cell[cell];
+            let current_tile = cell_tile[cell];
+            let target = match cell_kind[cell] {
                 SiteKind::Lut => lut_tiles.random_site_near(current_tile, window, &mut rng),
                 SiteKind::Ff => ff_tiles.random_site_near(current_tile, window, &mut rng),
-                SiteKind::Iob => {
-                    let pool = device.sites_of_kind(kind);
-                    Some(pool[rng.gen_range(0..pool.len())])
-                }
+                SiteKind::Iob => Some(iob_sites[rng.gen_range(0..iob_sites.len())]),
             };
             let Some(target) = target.filter(|&target| target != current) else {
                 continue;
             };
-            let occupant = cell_at_site.get(&target).copied();
-            let target_tile = device.site(target).tile;
+            let occupant = cell_at_site[target.index()];
+            let target_tile = site_tile[target.index()];
 
-            if current_tile == target_tile {
-                // Swapping within one tile never changes any bounding box:
-                // delta is zero, the move is always accepted, and no RNG is
-                // consumed — exactly as a full cost evaluation would decide.
-                site_of_cell[cell.index()] = target;
-                cell_at_site.insert(target, cell);
-                if let Some(other) = occupant {
-                    site_of_cell[other.index()] = current;
-                    cell_at_site.insert(current, other);
+            // A swap within one tile never changes any bounding box: delta
+            // is zero, the move is always accepted, and no RNG is consumed —
+            // exactly as a full cost evaluation would decide. A move between
+            // tiles is evaluated with the two cells' tiles swapped: on every
+            // net either cell sits on, the surplus pins of one cell over the
+            // other move between the two tiles.
+            if current_tile != target_tile {
+                cell_tile[cell] = target_tile;
+                let occupant_nets: &[(u32, u32)] = if occupant == EMPTY {
+                    &[]
                 } else {
-                    cell_at_site.remove(&current);
-                }
-                accepted += 1;
-                continue;
-            }
-
-            // Affected nets: union of both cells' incident nets.
-            affected.clear();
-            affected.extend_from_slice(&nets_of_cell[cell.index()]);
-            if let Some(other) = occupant {
-                affected.extend_from_slice(&nets_of_cell[other.index()]);
-            }
-            affected.sort_unstable();
-            affected.dedup();
-
-            // Apply tentatively, then update each affected box
-            // incrementally: remove the moved pin occurrences' old tiles,
-            // add the new ones, rescan only when a boundary empties.
-            site_of_cell[cell.index()] = target;
-            if let Some(other) = occupant {
-                site_of_cell[other.index()] = current;
-            }
-
-            saved.clear();
-            let mut delta = 0i64;
-            for &net in &affected {
-                let index = net as usize;
-                let old_box = boxes[index];
-                saved.push((net, old_box));
-                let mut net_box = old_box;
-                let mut rescan = false;
-                for &pin in &members[index] {
-                    let (from, to) = if pin == cell {
-                        (current_tile, target_tile)
-                    } else if occupant == Some(pin) {
-                        (target_tile, current_tile)
-                    } else {
-                        continue;
+                    cell_tile[occupant as usize] = current_tile;
+                    &nets_of_cell[occupant as usize]
+                };
+                pending.clear();
+                let mut delta = 0i64;
+                for (net, ma, mb) in merge_incidence(&nets_of_cell[cell], occupant_nets) {
+                    let (k, from, to) = match ma.cmp(&mb) {
+                        Ordering::Equal => continue,
+                        Ordering::Greater => (ma - mb, current_tile, target_tile),
+                        Ordering::Less => (mb - ma, target_tile, current_tile),
                     };
-                    if net_box.remove(from) {
-                        rescan = true;
-                        break;
+                    let index = net as usize;
+                    let old_box = boxes[index];
+                    let mut net_box = old_box;
+                    if net_box.shift(from, to, k) {
+                        net_box = compute_box(&members[index], &cell_tile);
                     }
-                    net_box.add(to);
+                    debug_assert_eq!(
+                        net_box,
+                        compute_box(&members[index], &cell_tile),
+                        "incremental NetBox diverged from full recompute"
+                    );
+                    delta += net_box.hpwl() as i64 - old_box.hpwl() as i64;
+                    pending.push((net, net_box));
                 }
-                if rescan {
-                    net_box = compute_box(device, &members[index], &site_of_cell);
-                }
-                debug_assert_eq!(
-                    net_box,
-                    compute_box(device, &members[index], &site_of_cell),
-                    "incremental NetBox diverged from full recompute"
-                );
-                delta += net_box.hpwl() as i64 - old_box.hpwl() as i64;
-                boxes[index] = net_box;
-            }
 
-            let accept = delta <= 0 || {
-                let p = (-(delta as f64) / temperature).exp();
-                rng.gen::<f64>() < p
-            };
-            if accept {
-                cell_at_site.insert(target, cell);
-                if let Some(other) = occupant {
-                    cell_at_site.insert(current, other);
-                } else {
-                    cell_at_site.remove(&current);
+                let accept = delta <= 0 || {
+                    let p = (-(delta as f64) / temperature).exp();
+                    rng.gen::<f64>() < p
+                };
+                if !accept {
+                    cell_tile[cell] = current_tile;
+                    if occupant != EMPTY {
+                        cell_tile[occupant as usize] = target_tile;
+                    }
+                    continue;
                 }
-                total_cost = (total_cost as i64 + delta) as u64;
-                accepted += 1;
-            } else {
-                // Revert the assignment and the touched boxes.
-                site_of_cell[cell.index()] = current;
-                if let Some(other) = occupant {
-                    site_of_cell[other.index()] = target;
-                }
-                for &(net, net_box) in &saved {
+                for &(net, net_box) in &pending {
                     boxes[net as usize] = net_box;
                 }
+                total_cost = (total_cost as i64 + delta) as u64;
             }
+
+            // Accepted: commit the assignment and the occupancy.
+            site_of_cell[cell] = target;
+            cell_at_site[target.index()] = cell as u32;
+            if occupant != EMPTY {
+                site_of_cell[occupant as usize] = current;
+            }
+            cell_at_site[current.index()] = occupant;
+            accepted += 1;
         }
         temperature *= alpha;
         let acceptance = accepted as f64 / moves_per_step as f64;
@@ -533,6 +569,7 @@ pub fn place(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
     use tmr_designs::counter;
     use tmr_synth::{lower, optimize, techmap};
@@ -632,6 +669,104 @@ mod tests {
                 placement_wirelength(&device, &netlist, &a),
                 "seed {seed}: incremental wirelength diverged"
             );
+        }
+    }
+
+    #[test]
+    fn an_empty_netlist_places_with_zero_wirelength() {
+        let device = Device::small(3, 3);
+        let placement = place(&device, &Netlist::new("empty"), &PlacerOptions::default()).unwrap();
+        assert_eq!(placement.iter().count(), 0);
+        assert_eq!(placement.wirelength(), 0);
+        assert!(device
+            .sites()
+            .all(|(site, _)| placement.cell_at(site).is_none()));
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_occupancy() {
+        let device = Device::small(5, 5);
+        let netlist = mapped_counter();
+        let placed = place(&device, &netlist, &PlacerOptions::default()).unwrap();
+        let sites = placed.iter().map(|(_, site)| site).collect();
+        let rebuilt = Placement::from_parts(sites, placed.wirelength());
+        for (site, _) in device.sites() {
+            assert_eq!(rebuilt.cell_at(site), placed.cell_at(site), "site {site}");
+        }
+        let beyond = SiteId::from_index(device.site_count() + 3);
+        assert_eq!(placed.cell_at(beyond), None);
+        assert_eq!(rebuilt.cell_at(beyond), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Moving `k` of the pins on one tile to another tile: whenever the
+        /// per-axis update reports no rescan, the box equals a rebuild.
+        #[test]
+        fn shifted_box_matches_a_rebuild_unless_it_asks_for_a_rescan(
+            pins in prop::collection::vec((0u16..4, 0u16..4), 1..12),
+            shifts in prop::collection::vec(((0usize..12, 0u32..12), (0u16..4, 0u16..4)), 1..16),
+        ) {
+            let mut tiles: Vec<TileCoord> = pins.iter().map(|&(x, y)| TileCoord::new(x, y)).collect();
+            let cells: Vec<u32> = (0..tiles.len() as u32).collect();
+            let mut net_box = compute_box(&cells, &tiles);
+            for ((pick, draw), (x, y)) in shifts {
+                let (from, to) = (tiles[pick % tiles.len()], TileCoord::new(x, y));
+                if from == to {
+                    continue;
+                }
+                let on_from = tiles.iter().filter(|&&tile| tile == from).count() as u32;
+                let k = 1 + draw % on_from;
+                for tile in tiles.iter_mut().filter(|tile| **tile == from).take(k as usize) {
+                    *tile = to;
+                }
+                let rebuilt = compute_box(&cells, &tiles);
+                if !net_box.shift(from, to, k) {
+                    prop_assert_eq!(net_box, rebuilt, "k {} from {:?} to {:?}", k, from, to);
+                }
+                net_box = rebuilt;
+            }
+        }
+
+        /// A placer move on a net whose members repeat cells: the moved
+        /// cell swaps tiles with an occupant (possibly on the same net) or
+        /// moves onto a free tile, and the surplus pins of one over the
+        /// other shift between the two tiles.
+        #[test]
+        fn swapped_box_matches_a_rebuild_unless_it_asks_for_a_rescan(
+            cells in prop::collection::vec((0u16..4, 0u16..4), 2..7),
+            members in prop::collection::vec(0u32..6, 1..14),
+            moves in prop::collection::vec(((0u32..6, 0u32..6), (0u16..4, 0u16..4)), 1..16),
+        ) {
+            let mut tiles: Vec<TileCoord> = cells.iter().map(|&(x, y)| TileCoord::new(x, y)).collect();
+            let count = tiles.len() as u32;
+            let members: Vec<u32> = members.into_iter().map(|cell| cell % count).collect();
+            let mut net_box = compute_box(&members, &tiles);
+            for ((a, b), (x, y)) in moves {
+                let (a, b) = (a % count, b % count);
+                let pins_of = |cell: u32| members.iter().filter(|&&m| m == cell).count() as u32;
+                // `a == b` stands for a move onto a free site at (x, y).
+                let (ta, tb, ma, mb) = if a == b {
+                    (tiles[a as usize], TileCoord::new(x, y), pins_of(a), 0)
+                } else {
+                    (tiles[a as usize], tiles[b as usize], pins_of(a), pins_of(b))
+                };
+                tiles[a as usize] = tb;
+                if a != b {
+                    tiles[b as usize] = ta;
+                }
+                let rebuilt = compute_box(&members, &tiles);
+                let rescan = match ma.cmp(&mb) {
+                    Ordering::Equal => false,
+                    Ordering::Greater => net_box.shift(ta, tb, ma - mb),
+                    Ordering::Less => net_box.shift(tb, ta, mb - ma),
+                };
+                if !rescan {
+                    prop_assert_eq!(net_box, rebuilt, "a {} b {} ma {} mb {}", a, b, ma, mb);
+                }
+                net_box = rebuilt;
+            }
         }
     }
 
